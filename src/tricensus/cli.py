@@ -80,7 +80,8 @@ def _build_parser() -> _Parser:
     r.add_argument("--report", help="write a JSONL report here")
     r.add_argument("--timings", action="store_true",
                    help="include real runtimes in the report (breaks byte-stable reruns)")
-    r.add_argument("--jobs", type=int, default=1)
+    r.add_argument("--jobs", type=int, default=1,
+                   help="worker processes (at least 1)")
     return p
 
 
@@ -167,6 +168,8 @@ def _cmd_catalan(args) -> int:
 def _cmd_verify(args) -> int:
     if (args.family is None) == (args.input is None):
         raise ValueError("choose exactly one of --family or --input")
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     files = tuple(sorted(glob.glob(args.input))) if args.input else ()
     if args.input and not files:
         raise ValueError(f"no files match {args.input!r}")

@@ -77,11 +77,6 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
-def cross_value(p: Point, q: Point, r: Point) -> Fraction:
-    """Exact cross product (q - p) x (r - p); twice the signed triangle area."""
-    return (q.x - p.x) * (r.y - p.y) - (q.y - p.y) * (r.x - p.x)
-
-
 def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> str:
     """Classify p against triangle abc as INSIDE, BOUNDARY or OUTSIDE.
 
@@ -101,11 +96,6 @@ def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> str:
     if o1 == 0 or o2 == 0 or o3 == 0:
         return BOUNDARY
     return INSIDE
-
-
-def triangle_contains_strict(p: Point, a: Point, b: Point, c: Point) -> bool:
-    """True iff p lies strictly inside triangle abc."""
-    return point_in_triangle(p, a, b, c) == INSIDE
 
 
 def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:

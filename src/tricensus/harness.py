@@ -73,7 +73,7 @@ def verify_instance(ps: PointSet, instance_id: str = "", cap: int = DEFAULT_CAP,
     if elapsed > budget_s:
         return InstanceVerdict(instance_id, n, h, None, None, None, None, None,
                                int(elapsed * 1000),
-                               skip_reason=f"budget exceeded ({elapsed:.1f}s > {budget_s:.0f}s)")
+                               skip_reason=f"budget exceeded ({elapsed:.1f}s > {budget_s:g}s)")
     return InstanceVerdict(
         instance_id, n, h, str(partial), str(bound), quasi,
         partial >= bound, (partial == bound) == quasi, int(elapsed * 1000))

@@ -2,24 +2,42 @@
 
 A *full* triangulation of a point set uses every point as a vertex; a
 *partial* triangulation may skip interior points but must use every hull
-vertex.  Counting works by anchored-ear recursion over regions: a region is
-a simple polygon (counter-clockwise index cycle) plus the set of points that
-must appear as vertices strictly inside it.  The anchor edge is the
-lexicographically smallest boundary edge by index pair; every triangulation
-of the region has exactly one triangle on that edge, so summing over valid
-apexes counts each triangulation once.  Placing the apex at a boundary
-vertex splits the region in two; placing it at a required interior point
-merges that point into the boundary.  Regions are memoized per invocation
-(boundary rotated so the anchor comes first, plus the interior set).
+vertex.  Both are counted by one anchored-edge recursion over regions (Ray
+and Seidel, "A simple and less slow method for counting triangulations",
+EuroCG 2004).  A region is a simple polygon, a counter-clockwise index cycle,
+plus the points strictly inside it.  The anchor edge is the lexicographically
+smallest boundary edge by index pair; every triangulation of the region has
+exactly one triangle on that edge, so summing over the valid apexes counts
+each triangulation once.  An apex at a boundary vertex splits the region in
+two; an apex at an inside point merges that point into the boundary.
+
+The recursion has two modes:
+
+- *required*: every inside point must be used, so the anchor triangle must
+  contain no point of the region.  ``count_full``, ``count_on_subset`` and
+  the enumerators use it, with the chosen subset's interior points inside.
+- *optional*: inside points may be skipped, so the anchor triangle must
+  contain no boundary vertex, and the inside points it does contain are left
+  unused.  ``count_partial`` is one optional-mode recursion with every
+  interior point inside the hull.
+
+In both modes the points inside a region follow from its boundary cycle, so
+one memo per call, keyed by the rotated cycle alone, serves the whole count.
+
+The recursion reads integers only.  Built lazily, once per point set, from
+the orientation table: bitmasks of the points left of each directed pair, so
+that a triangle's interior is three ANDs; per-segment masks of the edges that
+properly cross it, ANDed with a region's edge mask; and, from integer (y, x)
+ranks, the points whose rightward ray crosses each segment, so that the
+points inside a sub-polygon are a crossing-parity XOR over its edges.
+Ranking by (y, x) instead of y is a consistent symbolic tie-break (an
+infinitesimal shear, which changes no orientation), so points sharing a y
+coordinate need no special case.
 
 ``brute_force_count`` is a deliberately independent oracle: it counts
 maximal pairwise-non-crossing edge sets by lexicographic backtracking over
 the edge list, asserting that every maximal set has exactly 3i + 2h - 3
 edges.
-
-``count_partial`` sums full counts over interior subsets (iterated in
-Gray-code order); each subset is counted independently, with no sharing of
-sub-region results across subsets.
 """
 
 from __future__ import annotations
@@ -57,127 +75,167 @@ def _segments_cross(tab, a: int, b: int, c: int, d: int) -> bool:
     return tab[a][b][c] * tab[a][b][d] < 0 and tab[c][d][a] * tab[c][d][b] < 0
 
 
-def _point_in_cycle(pts, tab, cycle, w: int) -> bool:
-    """Exact crossing-parity test; w must not lie on the cycle boundary."""
-    inside = False
-    wy = pts[w].y
-    k = len(cycle)
-    for m in range(k):
-        u = cycle[m]
-        v = cycle[(m + 1) % k]
-        uy = pts[u].y
-        vy = pts[v].y
-        if uy <= wy < vy:
-            if tab[u][v][w] > 0:
-                inside = not inside
-        elif vy <= wy < uy:
-            if tab[u][v][w] < 0:
-                inside = not inside
-    return inside
+def _mask(indices) -> int:
+    out = 0
+    for i in indices:
+        out |= 1 << i
+    return out
+
+
+def _bits(mask: int):
+    """Indices of the set bits, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class _RegionTables:
+    """The integer tables the region recursion reads, built once per point set."""
+
+    def __init__(self, ps: PointSet):
+        tab = ps.orient_table()
+        pts = ps.points
+        n = len(pts)
+        # left[p][q]: the points strictly left of the directed line p -> q
+        left = [[_mask(w for w in range(n) if tab[p][q][w] > 0) for q in range(n)]
+                for p in range(n)]
+        # edge_bit[u][v]: the bit of the undirected edge uv in a region's edge mask
+        edge_bit = [[1 << (min(u, v) * n + max(u, v)) for v in range(n)] for u in range(n)]
+        # ray[u][v]: the points whose rightward ray crosses segment uv; a point
+        # is level with a segment when its (y, x) rank lies strictly between
+        # the ranks of the endpoints
+        order = sorted(range(n), key=lambda i: (pts[i].y, pts[i].x))
+        below = [0]  # below[r]: the points of rank < r
+        for i in order:
+            below.append(below[-1] | 1 << i)
+        rank = [0] * n
+        for r, i in enumerate(order):
+            rank[i] = r
+        ray = [[0] * n for _ in range(n)]
+        for u in range(n):
+            for v in range(n):
+                if rank[u] < rank[v]:
+                    ray[u][v] = ray[v][u] = (below[rank[v]] ^ below[rank[u] + 1]) & left[u][v]
+        self.left = left
+        self.edge_bit = edge_bit
+        self.ray = ray
+        self._cross = [[None] * n for _ in range(n)]
+
+    def crossing(self, p: int, q: int) -> int:
+        """Edge mask of every segment that properly crosses segment pq."""
+        mask = self._cross[p][q]
+        if mask is None:
+            left, edge_bit = self.left, self.edge_bit
+            mask = 0
+            for c in _bits(left[p][q]):
+                for d in _bits(left[q][p]):
+                    if (left[c][d] >> p ^ left[c][d] >> q) & 1:
+                        mask |= edge_bit[c][d]
+            self._cross[p][q] = self._cross[q][p] = mask
+        return mask
+
+
+def _tables(ps: PointSet) -> _RegionTables:
+    tables = ps._cache.get("regions")
+    if tables is None:
+        tables = ps._cache["regions"] = _RegionTables(ps)
+    return tables
 
 
 def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
-    """Rotate a ccw cycle so the lexicographically smallest edge pair comes first."""
-    k = len(boundary)
-    best = None
-    pos = 0
-    for m in range(k):
-        u = boundary[m]
-        v = boundary[(m + 1) % k]
-        pair = (u, v) if u < v else (v, u)
-        if best is None or pair < best:
-            best = pair
-            pos = m
-    return boundary[pos:] + boundary[:pos]
+    """Rotate a ccw cycle so the lexicographically smallest edge pair comes first.
+
+    That edge joins the smallest index to the smaller of its two neighbours.
+    """
+    i = boundary.index(min(boundary))
+    if boundary[i - 1] < boundary[(i + 1) % len(boundary)]:
+        i -= 1
+    return boundary[i:] + boundary[:i]
 
 
-def _region_splits(ps: PointSet, cyc: tuple[int, ...], interior: frozenset[int]):
+def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, required: bool):
     """Yield (apex, sub1, sub2) for every valid anchor triangle of the region.
 
-    The anchor edge is (cyc[0], cyc[1]).  Each sub-region is a (boundary,
-    interior) pair, or None when the split degenerates to a bare edge.
+    The anchor edge is (cyc[0], cyc[1]) and ``inside`` is the mask of the
+    points strictly inside the cycle.  In required mode the anchor triangle
+    may contain none of them; in optional mode it may, and they are left
+    unused.  Apexes come in the order cyc[2:], then inside points by
+    ascending index.  Each sub-region is a (boundary, inside) pair, or None
+    when the split degenerates to a bare edge.
     """
-    tab = ps.orient_table()
-    pts = ps.points
+    left, ray, edge_bit = t.left, t.ray, t.edge_bit
     a, b = cyc[0], cyc[1]
     k = len(cyc)
-    edges = [(cyc[m], cyc[(m + 1) % k]) for m in range(k)]
-    region = list(cyc[2:]) + sorted(interior)
-    ta_b = tab[a][b]
-    for v in region:
-        if ta_b[v] != 1:
+    verts = edges = 0
+    for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+        verts |= 1 << u
+        edges |= edge_bit[u][w]
+    blockers = verts | inside if required else verts
+    left_ab, left_b = left[a][b], left[b]
+    apexes = list(cyc[2:])
+    apexes.extend(_bits(inside & left_ab))
+    for v in apexes:
+        if not left_ab >> v & 1:
             continue
-        empty = True
-        for w in region:
-            if w == v:
-                continue
-            if ta_b[w] == 1 and tab[b][v][w] == 1 and tab[v][a][w] == 1:
-                empty = False
-                break
-        if not empty:
+        tri = left_ab & left_b[v] & left[v][a]
+        if tri & blockers or (t.crossing(a, v) | t.crossing(b, v)) & edges:
             continue
-        blocked = False
-        for p, q in edges:
-            if _segments_cross(tab, a, v, p, q) or _segments_cross(tab, b, v, p, q):
-                blocked = True
-                break
-        if blocked:
+        rest = inside & ~tri
+        if inside >> v & 1:
+            yield v, (cyc[1:] + (a, v), rest ^ 1 << v), None
             continue
-        if v in interior:
-            yield v, (cyc[1:] + (cyc[0], v), interior - {v}), None
-        else:
-            j = cyc.index(v)
-            b1 = cyc[1:j + 1]
-            b2 = cyc[j:] + (cyc[0],)
-            if interior:
-                i1 = frozenset(w for w in interior
-                               if len(b1) >= 3 and _point_in_cycle(pts, tab, b1, w))
-                i2 = interior - i1
-            else:
-                i1 = i2 = frozenset()
-            yield (v,
-                   (b1, i1) if len(b1) >= 3 else None,
-                   (b2, i2) if len(b2) >= 3 else None)
+        j = cyc.index(v)
+        b1 = cyc[1:j + 1]
+        b2 = cyc[j:] + (a,)
+        rest1 = 0
+        if rest and j > 2:
+            side = ray[v][b]
+            for u, w in zip(b1, b1[1:]):
+                side ^= ray[u][w]
+            rest1 = rest & side
+        yield (v,
+               (b1, rest1) if j > 2 else None,
+               (b2, rest ^ rest1) if j < k - 1 else None)
 
 
-def _count_region(ps: PointSet, boundary: tuple[int, ...], interior: frozenset[int], memo) -> int:
-    if len(boundary) == 3 and not interior:
+def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int,
+                  required: bool, memo) -> int:
+    if len(boundary) == 3 and not inside:
         return 1
     cyc = _anchor_rotation(boundary)
-    key = (cyc, interior)
-    cached = memo.get(key)
+    cached = memo.get(cyc)
     if cached is not None:
         return cached
     total = 0
-    for _, sub1, sub2 in _region_splits(ps, cyc, interior):
+    for _, sub1, sub2 in _region_splits(t, cyc, inside, required):
         c = 1
         if sub1 is not None:
-            c = _count_region(ps, sub1[0], sub1[1], memo)
+            c = _count_region(t, sub1[0], sub1[1], required, memo)
         if sub2 is not None and c:
-            c *= _count_region(ps, sub2[0], sub2[1], memo)
+            c *= _count_region(t, sub2[0], sub2[1], required, memo)
         total += c
-    memo[key] = total
+    memo[cyc] = total
     return total
 
 
-def _enumerate_region(ps, boundary, interior, memo) -> tuple:
-    if len(boundary) == 3 and not interior:
+def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, memo) -> tuple:
+    if len(boundary) == 3 and not inside:
         return ((tuple(sorted(boundary)),),)
     cyc = _anchor_rotation(boundary)
-    key = (cyc, interior)
-    cached = memo.get(key)
+    cached = memo.get(cyc)
     if cached is not None:
         return cached
     out = []
-    for v, sub1, sub2 in _region_splits(ps, cyc, interior):
+    for v, sub1, sub2 in _region_splits(t, cyc, inside, True):
         tri = tuple(sorted((cyc[0], cyc[1], v)))
-        parts1 = _enumerate_region(ps, sub1[0], sub1[1], memo) if sub1 is not None else ((),)
-        parts2 = _enumerate_region(ps, sub2[0], sub2[1], memo) if sub2 is not None else ((),)
+        parts1 = _enumerate_region(t, sub1[0], sub1[1], memo) if sub1 is not None else ((),)
+        parts2 = _enumerate_region(t, sub2[0], sub2[1], memo) if sub2 is not None else ((),)
         for p1 in parts1:
             for p2 in parts2:
                 out.append((tri,) + p1 + p2)
     result = tuple(out)
-    memo[key] = result
+    memo[cyc] = result
     return result
 
 
@@ -193,8 +251,7 @@ def _check_subset(ps: PointSet, vertex_subset) -> frozenset[int]:
 def count_on_subset(ps: PointSet, vertex_subset) -> int:
     """Number of triangulations of conv(M) using exactly the given vertices."""
     sub = _check_subset(ps, vertex_subset)
-    interior = frozenset(sub - set(ps.hull))
-    return _count_region(ps, ps.hull, interior, {})
+    return _count_region(_tables(ps), ps.hull, _mask(sub.difference(ps.hull)), True, {})
 
 
 def count_full(ps: PointSet) -> int:
@@ -203,24 +260,15 @@ def count_full(ps: PointSet) -> int:
 
 
 def count_partial(ps: PointSet) -> int:
-    """Number of partial triangulations: sum of full counts over interior subsets."""
-    interior = ps.interior
-    m = len(interior)
-    hull = frozenset(ps.hull)
-    total = 0
-    for u in range(1 << m):
-        g = u ^ (u >> 1)
-        sub = hull | {interior[t] for t in range(m) if (g >> t) & 1}
-        total += _count_region(ps, ps.hull, frozenset(sub - hull), {})
-    return total
+    """Number of partial triangulations: one optional-mode region recursion."""
+    return _count_region(_tables(ps), ps.hull, _mask(ps.interior), False, {})
 
 
 def enumerate_on_subset(ps: PointSet, vertex_subset, cap: int = ENUMERATION_CAP) -> list[Triangulation]:
     sub = _check_subset(ps, vertex_subset)
     if len(sub) > cap:
         raise SizeCapError(f"enumeration refused for {len(sub)} vertices (cap {cap})")
-    interior = frozenset(sub - set(ps.hull))
-    raw = _enumerate_region(ps, ps.hull, interior, {})
+    raw = _enumerate_region(_tables(ps), ps.hull, _mask(sub.difference(ps.hull)), {})
     return [Triangulation(sub, tuple(sorted(tris))) for tris in raw]
 
 
@@ -230,7 +278,8 @@ def enumerate_full(ps: PointSet, cap: int = ENUMERATION_CAP) -> list[Triangulati
 
 
 def enumerate_partial(ps: PointSet, cap: int = ENUMERATION_CAP) -> list[Triangulation]:
-    """All partial triangulations, iterating interior subsets in Gray-code order."""
+    """All partial triangulations: required-mode enumerations of the interior
+    subsets, iterated in Gray-code order."""
     if len(ps.points) > cap:
         raise SizeCapError(f"enumeration refused for {len(ps.points)} points (cap {cap})")
     interior = ps.interior

@@ -40,6 +40,15 @@ def test_verify_instance_cap_skips():
     assert v.partial_count is None
 
 
+def test_verify_instance_budget_skip_names_the_budget():
+    v = verify_instance(gen_convex(6, 64, seed=1), "tiny", budget_s=1e-6)
+    assert v.skipped and v.partial_count is None
+    assert v.skip_reason.startswith("budget exceeded (")
+    assert v.skip_reason.endswith(" > 1e-06s)")
+    assert verify_instance(gen_convex(6, 64, seed=1), "zero", budget_s=0.0).skip_reason.endswith(
+        " > 0s)")
+
+
 def test_run_corpus_empty():
     report = run_corpus(RunConfig(family=None, input_files=()))
     assert report.summary["instances"] == 0
@@ -171,3 +180,12 @@ def test_cli_verify_input_glob(tmp_path, capsys):
     assert main(["verify", "--input", str(tmp_path / "*.pts")]) == 0
     out = capsys.readouterr().out
     assert "c0.pts" in out and "c1.pts" in out
+
+
+def test_cli_verify_rejects_jobs_below_one(capsys):
+    for jobs in ("0", "-3"):
+        assert main(["verify", "--family", "convex", "--n", "5", "--trials", "1",
+                     "--jobs", jobs]) == 1
+        captured = capsys.readouterr()
+        assert "--jobs must be at least 1" in captured.err
+        assert captured.out == ""
