@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 when every mathematical check passed, 2 when a check failed
-(a counterexample or an implementation bug), 1 on usage or I/O errors.
+(a counterexample or an implementation bug), 1 on usage or I/O errors.  A
+``verify`` run that checked no instance writes its report, then exits 1.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ import glob
 import json
 import sys
 
-from . import charvec, harness
+from . import charvec, harness, triangulations
 from .catalan import catalan, polygon_triangulation_count
 from .closeness import classify
 from .errors import SizeCapError
@@ -46,7 +47,8 @@ def _build_parser() -> _Parser:
     c.add_argument("file")
     c.add_argument("--mode", choices=["full", "partial"], default="full")
     c.add_argument("--enumerate", action="store_true", dest="enumerate_all")
-    c.add_argument("--cap", type=int, default=14, help="enumeration size cap")
+    c.add_argument("--cap", type=int, default=triangulations.ENUMERATION_CAP,
+                   help="enumeration size cap")
 
     k = sub.add_parser("classify", help="quasi-convexity report for a point set")
     k.add_argument("file")
@@ -73,9 +75,8 @@ def _build_parser() -> _Parser:
     r.add_argument("--trials", type=int, default=10)
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--scale", type=int, default=64)
-    r.add_argument("--cap", type=int, default=harness.DEFAULT_CAP)
-    r.add_argument("--budget", type=float, default=harness.DEFAULT_BUDGET_S,
-                   help="per-instance wall-clock budget in seconds")
+    r.add_argument("--cap", type=int, default=harness.DEFAULT_CAP,
+                   help="skip instances with more points than this")
     r.add_argument("--full-suite", action="store_true", dest="full_suite")
     r.add_argument("--report", help="write a JSONL report here")
     r.add_argument("--timings", action="store_true",
@@ -175,17 +176,19 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"no files match {args.input!r}")
     cfg = harness.RunConfig(
         family=args.family, n=args.n, trials=args.trials, seed=args.seed,
-        scale=args.scale, input_files=files, cap=args.cap, budget_s=args.budget,
+        scale=args.scale, input_files=files, cap=args.cap,
         full_suite=args.full_suite, timings=args.timings, jobs=args.jobs)
     report = harness.run_corpus(cfg)
     if args.report:
         with open(args.report, "w") as fh:
-            fh.write(report.to_jsonl(timings=args.timings))
+            fh.write(report.to_jsonl())
     for v in report.verdicts:
         status = "skip" if v.skipped else ("ok" if v.passed else "FAIL")
         detail = v.skip_reason if v.skipped else f"partial={v.partial_count} bound={v.w_n} qc={v.quasi_convex}"
         print(f"{status:4} {v.instance_id}: {detail}")
     print(json.dumps(report.summary, sort_keys=True))
+    if report.summary["checked"] == 0:
+        raise ValueError(f"no instance was checked ({report.summary['skipped']} skipped)")
     return 0 if report.all_passed else 2
 
 

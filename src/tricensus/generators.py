@@ -10,6 +10,7 @@ and construction retries until the checks pass.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -115,46 +116,45 @@ def _clear_denominators(pts: list[Point]) -> list[Point]:
     return [Point(p.x * lcm, p.y * lcm) for p in pts]
 
 
-def _with_close_points(ring: list[Point], wanted_sides) -> PointSet | None:
-    """Ring plus one certified-close interior point per selected side, or None.
+def _ring_with_close_points(m: int, wanted_sides, scale: int) -> PointSet | None:
+    """Seedless convex m-gon plus one certified-close point per selected side, or None.
 
-    Points start near the side midpoints, offset inward; the offset shrinks
-    until every closeness certificate holds.  Coordinates are cleared to
-    integers before the final certification.
+    Points start near the side midpoints, offset inward; the offset shrinks,
+    and then the ring's scale doubles, until every closeness certificate
+    holds.  Coordinates are cleared to integers before the final certification.
     """
-    m = len(ring)
     wanted = sorted(wanted_sides)
-    for shrink in range(48):
-        lam = Fraction(1, 16 * (1 << shrink))
-        pts = list(ring)
-        for j in wanted:
-            q = ring[j]
-            r = ring[(j + 1) % m]
-            # midpoint pulled inward along the left (interior) normal
-            pts.append(Point((q.x + r.x) / 2 - lam * (r.y - q.y),
-                             (q.y + r.y) / 2 + lam * (r.x - q.x)))
-        pts = _clear_denominators(pts)
-        try:
-            ps = PointSet.from_points(pts)
-        except ValueError:
-            continue
-        if set(ps.hull) != set(range(m)):
-            continue
-        ok = all(is_close(ps, m + pos, (j, (j + 1) % m)) for pos, j in enumerate(wanted))
-        if ok and classify(ps).is_quasi_convex:
-            return ps
+    for doubling in range(8):
+        ring = list(gen_convex(m, scale << doubling, _FAMILY_SEED).points)
+        for shrink in range(48):
+            lam = Fraction(1, 16 * (1 << shrink))
+            pts = list(ring)
+            for j in wanted:
+                q = ring[j]
+                r = ring[(j + 1) % m]
+                # midpoint pulled inward along the left (interior) normal
+                pts.append(Point((q.x + r.x) / 2 - lam * (r.y - q.y),
+                                 (q.y + r.y) / 2 + lam * (r.x - q.x)))
+            pts = _clear_denominators(pts)
+            try:
+                ps = PointSet.from_points(pts)
+            except ValueError:
+                continue
+            if set(ps.hull) != set(range(m)):
+                continue
+            ok = all(is_close(ps, m + pos, (j, (j + 1) % m)) for pos, j in enumerate(wanted))
+            if ok and classify(ps).is_quasi_convex:
+                return ps
     return None
 
 
 def gen_double_circle(m: int, scale: int = 64) -> PointSet:
     """Convex m-gon plus one certified-close interior point per side (n = 2m)."""
     _check_sizes(m, scale)
-    for doubling in range(8):
-        ring = list(gen_convex(m, scale << doubling, _FAMILY_SEED).points)
-        ps = _with_close_points(ring, range(m))
-        if ps is not None:
-            return ps
-    raise ConstructionError(f"double circle with m={m} unobtainable at scale {scale}")
+    ps = _ring_with_close_points(m, range(m), scale)
+    if ps is None:
+        raise ConstructionError(f"double circle with m={m} unobtainable at scale {scale}")
+    return ps
 
 
 def gen_quasi_convex(n_hull: int, sides, scale: int = 64) -> PointSet:
@@ -163,15 +163,20 @@ def gen_quasi_convex(n_hull: int, sides, scale: int = 64) -> PointSet:
     sides = tuple(sorted(set(sides)))
     if any(not 0 <= j < n_hull for j in sides):
         raise ValueError(f"side indices must be in [0, {n_hull})")
-    for doubling in range(8):
-        ring = list(gen_convex(n_hull, scale << doubling, _FAMILY_SEED).points)
-        if not sides:
-            return PointSet.from_points(ring)
-        ps = _with_close_points(ring, sides)
-        if ps is not None:
-            return ps
-    raise ConstructionError(
-        f"quasi-convex set with hull {n_hull} and sides {sides} unobtainable at scale {scale}")
+    if not sides:
+        return gen_convex(n_hull, scale, _FAMILY_SEED)
+    ps = _ring_with_close_points(n_hull, sides, scale)
+    if ps is None:
+        raise ConstructionError(
+            f"quasi-convex set with hull {n_hull} and sides {sides} unobtainable at scale {scale}")
+    return ps
+
+
+def _extends_general_position(pts: list[Point], cand: Point) -> bool:
+    """For ``pts`` in general position: is ``pts + [cand]`` too?  O(n^2), not O(n^3)."""
+    if cand in pts:
+        return False
+    return all(orient(p, q, cand) != 0 for p, q in itertools.combinations(pts, 2))
 
 
 def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
@@ -185,7 +190,7 @@ def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
     misses = 0
     while len(pts) < n:
         cand = Point(rng.below(bbox + 1), rng.below(bbox + 1))
-        if general_position_violation(pts + [cand]) is None:
+        if _extends_general_position(pts, cand):
             pts.append(cand)
             continue
         misses += 1
@@ -209,7 +214,7 @@ def gen_angle_frame(n: int, scale: int = 64, seed: int = 0) -> AngleFrame:
         s = orient(apex, left, right)
         if orient(apex, left, cand) != s or orient(apex, right, cand) != -s:
             continue
-        if general_position_violation([apex, left, right, *pts, cand]) is None:
+        if _extends_general_position([apex, left, right, *pts], cand):
             pts.append(cand)
     return build_angle_frame(apex, left, right, pts)
 
@@ -223,6 +228,6 @@ def gen_radial_frame(n: int, scale: int = 64, seed: int = 0) -> RadialFrame:
     pts: list[Point] = []
     while len(pts) < n:
         cand = Point(rng.below(2 * scale + 1) - scale, rng.below(2 * scale + 1) - scale)
-        if general_position_violation([center, *pts, cand]) is None:
+        if _extends_general_position([center, *pts], cand):
             pts.append(cand)
     return build_radial_frame(center, pts)

@@ -233,9 +233,6 @@ class PointSet:
             self._cache["orient"] = tab
         return tab
 
-    def orient_idx(self, i: int, j: int, k: int) -> int:
-        return self.orient_table()[i][j][k]
-
 
 # ---------------------------------------------------------------------------
 # "tricensus points v1" text format

@@ -7,14 +7,19 @@ baseline, and the count equals the baseline exactly when the set is
 quasi-convex.  A failure of either would be a counterexample or an
 implementation bug, and flips the process exit code to 2.
 
+The size cap, decided from the point count before any work starts, is the
+only reason to skip an instance, so a verdict depends on its inputs alone.
+A run that checked no instance makes the CLI exit 1.
+
 Reports are JSONL: one object per instance verdict, then a single summary
 object.  Runs with the same configuration and seeds produce byte-identical
-reports; to keep that true, ``runtime_ms`` is written as 0 unless timings
-are explicitly requested.
+reports; to keep that true, ``runtime_ms`` is written as 0 unless the run's
+configuration asks for timings.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -32,7 +37,6 @@ from .geom import PointSet, load_point_set
 from .triangulations import count_partial
 
 DEFAULT_CAP = 12
-DEFAULT_BUDGET_S = 60.0
 
 
 @dataclass(frozen=True)
@@ -57,9 +61,9 @@ class InstanceVerdict:
         return not self.skipped and bool(self.lower_bound_ok) and bool(self.equality_iff_ok)
 
 
-def verify_instance(ps: PointSet, instance_id: str = "", cap: int = DEFAULT_CAP,
-                    budget_s: float = DEFAULT_BUDGET_S) -> InstanceVerdict:
-    """Count, classify and check both clauses of the extremal statement."""
+def verify_instance(ps: PointSet, instance_id: str = "", cap: int = DEFAULT_CAP) -> InstanceVerdict:
+    """Count, classify and check both clauses of the extremal statement; an
+    instance with more than ``cap`` points is skipped before anything is built."""
     n = len(ps.points)
     h = len(ps.hull)
     if n > cap:
@@ -70,10 +74,6 @@ def verify_instance(ps: PointSet, instance_id: str = "", cap: int = DEFAULT_CAP,
     bound = polygon_triangulation_count(n)
     quasi = classify(ps).is_quasi_convex
     elapsed = time.perf_counter() - start
-    if elapsed > budget_s:
-        return InstanceVerdict(instance_id, n, h, None, None, None, None, None,
-                               int(elapsed * 1000),
-                               skip_reason=f"budget exceeded ({elapsed:.1f}s > {budget_s:g}s)")
     return InstanceVerdict(
         instance_id, n, h, str(partial), str(bound), quasi,
         partial >= bound, (partial == bound) == quasi, int(elapsed * 1000))
@@ -88,7 +88,6 @@ class RunConfig:
     scale: int = 64
     input_files: tuple[str, ...] = ()
     cap: int = DEFAULT_CAP
-    budget_s: float = DEFAULT_BUDGET_S
     full_suite: bool = False
     timings: bool = False
     jobs: int = 1
@@ -119,11 +118,11 @@ class CorpusReport:
         suite = self.summary.get("suite")
         return suite is None or all(suite.values())
 
-    def to_jsonl(self, timings: bool = False) -> str:
+    def to_jsonl(self) -> str:
         lines = []
         for v in self.verdicts:
             d = asdict(v)
-            if not timings:
+            if not self.config["timings"]:
                 d["runtime_ms"] = 0
             lines.append(json.dumps(d, sort_keys=True))
         lines.append(json.dumps({"config": self.config, "summary": self.summary}, sort_keys=True))
@@ -153,11 +152,6 @@ def build_corpus(cfg: RunConfig) -> list[tuple[str, GenSpec]]:
     elif cfg.family is not None:
         raise ValueError(f"unknown family {cfg.family!r}")
     return [(f"{spec.instance_id()}-t{t:04d}", spec) for t, spec in enumerate(specs)]
-
-
-def _verify_job(args) -> InstanceVerdict:
-    instance_id, ps, cap, budget_s = args
-    return verify_instance(ps, instance_id, cap, budget_s)
 
 
 def run_suite_checks(seed: int) -> dict[str, bool]:
@@ -199,18 +193,16 @@ def size_lists(total_cap: int):
 
 
 def run_corpus(cfg: RunConfig) -> CorpusReport:
-    instances: list[tuple[str, PointSet]] = []
-    for instance_id, spec in build_corpus(cfg):
-        instances.append((instance_id, generate(spec)))
-    for path in cfg.input_files:
-        instances.append((str(path), load_point_set(path)))
-
-    jobs = [(iid, ps, cfg.cap, cfg.budget_s) for iid, ps in instances]
-    if cfg.jobs > 1 and len(jobs) > 1:
+    corpus = build_corpus(cfg)
+    ids = [iid for iid, _ in corpus] + [str(path) for path in cfg.input_files]
+    point_sets = ([generate(spec) for _, spec in corpus]
+                  + [load_point_set(path) for path in cfg.input_files])
+    caps = itertools.repeat(cfg.cap)
+    if cfg.jobs > 1 and len(ids) > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            verdicts = list(pool.map(_verify_job, jobs))
+            verdicts = list(pool.map(verify_instance, point_sets, ids, caps))
     else:
-        verdicts = [_verify_job(j) for j in jobs]
+        verdicts = list(map(verify_instance, point_sets, ids, caps))
 
     suite = run_suite_checks(cfg.seed) if cfg.full_suite else None
     report = CorpusReport(config=_echo_config(cfg), verdicts=verdicts)

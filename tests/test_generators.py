@@ -13,7 +13,7 @@ from tricensus.generators import (
     gen_random,
     generate,
 )
-from tricensus.geom import general_position_violation, in_convex_position, orient
+from tricensus.geom import Point, general_position_violation, in_convex_position, orient
 from tricensus.triangulations import count_partial
 
 
@@ -89,6 +89,31 @@ def test_gen_random_general_position_and_seeding():
 def test_gen_random_lower_bound_example():
     ps = gen_random(9, 128, seed=1)
     assert count_partial(ps) >= 429
+
+
+def _gen_random_whole_set_oracle(n, bbox, seed):
+    """gen_random as first written: re-validate the whole set for every candidate."""
+    rng = SplitMix64(seed)
+    pts = []
+    misses = 0
+    while len(pts) < n:
+        cand = Point(rng.below(bbox + 1), rng.below(bbox + 1))
+        if general_position_violation(pts + [cand]) is None:
+            pts.append(cand)
+            continue
+        misses += 1
+        if misses > 200:
+            bbox *= 2
+            misses = 0
+    return tuple(pts)
+
+
+def test_gen_random_matches_whole_set_rejection():
+    # bbox 8 forces collinear misses and box doublings; at bbox 8, seed 57
+    # draws its first point twice
+    cases = [(n, bbox, seed) for n in (3, 9, 15) for bbox in (8, 64, 256) for seed in range(4)]
+    for n, bbox, seed in cases + [(3, 8, 57)]:
+        assert gen_random(n, bbox, seed).points == _gen_random_whole_set_oracle(n, bbox, seed)
 
 
 def test_generate_dispatch():

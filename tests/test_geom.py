@@ -93,11 +93,12 @@ def test_point_set_construction():
 
 def test_orient_table_matches_direct():
     ps = PointSet.from_coords([(0, 0), (7, 1), (5, 6), (2, 8), (3, 3)])
+    tab = ps.orient_table()
     for i in range(5):
         for j in range(5):
             for k in range(5):
                 if len({i, j, k}) == 3:
-                    assert ps.orient_idx(i, j, k) == orient(
+                    assert tab[i][j][k] == orient(
                         ps.points[i], ps.points[j], ps.points[k])
 
 

@@ -1,9 +1,13 @@
+import dataclasses
 import json
+
+import pytest
 
 from tricensus.cli import main
 from tricensus.generators import gen_convex, gen_double_circle
 from tricensus.geom import PointSet, save_point_set
 from tricensus.harness import (
+    CorpusReport,
     RunConfig,
     run_corpus,
     run_suite_checks,
@@ -35,18 +39,12 @@ def test_verify_instance_double_circle():
 
 
 def test_verify_instance_cap_skips():
-    v = verify_instance(gen_convex(13, 64, seed=0), "big", cap=12)
+    ps = gen_convex(13, 64, seed=0)
+    v = verify_instance(ps, "big", cap=12)
     assert v.skipped and "cap" in v.skip_reason
     assert v.partial_count is None
-
-
-def test_verify_instance_budget_skip_names_the_budget():
-    v = verify_instance(gen_convex(6, 64, seed=1), "tiny", budget_s=1e-6)
-    assert v.skipped and v.partial_count is None
-    assert v.skip_reason.startswith("budget exceeded (")
-    assert v.skip_reason.endswith(" > 1e-06s)")
-    assert verify_instance(gen_convex(6, 64, seed=1), "zero", budget_s=0.0).skip_reason.endswith(
-        " > 0s)")
+    # the cap is decided before any table or region mask is built
+    assert "orient" not in ps._cache and "regions" not in ps._cache
 
 
 def test_run_corpus_empty():
@@ -83,6 +81,15 @@ def test_report_shape_and_summary_tallies():
     tail = json.loads(lines[-1])
     assert tail["summary"]["instances"] == len(verdicts)
     assert tail["summary"]["checked"] + tail["summary"]["skipped"] == len(verdicts)
+
+
+def test_report_runtimes_follow_the_config_timings_flag():
+    verdict = verify_instance(gen_convex(5, 64, seed=1), "p5")
+    verdict = dataclasses.replace(verdict, runtime_ms=7)
+    for timings, runtime in ((False, 0), (True, 7)):
+        report = CorpusReport(config={"timings": timings}, verdicts=[verdict])
+        report.finalize(None)
+        assert json.loads(report.to_jsonl().split("\n")[0])["runtime_ms"] == runtime
 
 
 def test_run_corpus_parallel_matches_serial():
@@ -180,6 +187,27 @@ def test_cli_verify_input_glob(tmp_path, capsys):
     assert main(["verify", "--input", str(tmp_path / "*.pts")]) == 0
     out = capsys.readouterr().out
     assert "c0.pts" in out and "c1.pts" in out
+
+
+def test_cli_verify_that_checks_nothing_exits_1(tmp_path, capsys):
+    report = tmp_path / "out.jsonl"
+    for extra, skipped in ((["--n", "14", "--trials", "2", "--cap", "12"], 2),
+                           (["--n", "6", "--trials", "0"], 0)):
+        report.unlink(missing_ok=True)
+        assert main(["verify", "--family", "random", "--seed", "7",
+                     "--report", str(report), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"tricensus: error: no instance was checked ({skipped} skipped)\n"
+        assert json.loads(captured.out.strip().split("\n")[-1])["checked"] == 0
+        summary = json.loads(report.read_text().strip().split("\n")[-1])["summary"]
+        assert summary["checked"] == 0 and summary["skipped"] == skipped
+
+
+def test_cli_verify_rejects_budget(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--family", "convex", "--n", "5", "--trials", "1", "--budget", "1"])
+    assert exc.value.code == 1
+    assert "unrecognized arguments: --budget" in capsys.readouterr().err
 
 
 def test_cli_verify_rejects_jobs_below_one(capsys):
