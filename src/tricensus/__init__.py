@@ -26,7 +26,6 @@ from .charvec import (
     ray_move_preserves_image,
 )
 from .closeness import (
-    ClosenessWitness,
     QuasiConvexReport,
     classify,
     close_via_neighbor_triangles,
@@ -50,6 +49,7 @@ from .geom import (
     Coord,
     Point,
     PointSet,
+    added_point_violation,
     convex_hull,
     general_position_violation,
     in_convex_position,

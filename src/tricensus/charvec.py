@@ -49,6 +49,7 @@ from .geom import (
 )
 
 GOOD_POLYGON_CAP = 10
+PROJECTION_ROUNDS = 64
 
 
 # ---------------------------------------------------------------------------
@@ -283,10 +284,10 @@ def is_good_polygon(frame: RadialFrame, vertices) -> bool:
     return True
 
 
-def enumerate_good_polygons(frame: RadialFrame, cap: int = GOOD_POLYGON_CAP) -> list[tuple[int, ...]]:
+def enumerate_good_polygons(frame: RadialFrame) -> list[tuple[int, ...]]:
     n = len(frame.points)
-    if n > cap:
-        raise SizeCapError(f"good-polygon enumeration refused for {n} points (cap {cap})")
+    if n > GOOD_POLYGON_CAP:
+        raise SizeCapError(f"good-polygon enumeration refused for {n} points (cap {GOOD_POLYGON_CAP})")
     out = []
     for m in range(3, n + 1):
         for verts in combinations(range(n), m):
@@ -330,18 +331,18 @@ def polygon_charvec(frame: RadialFrame, vertices) -> tuple[int, ...]:
     return tuple(bits)
 
 
-def charvec_image(frame: RadialFrame, cap: int = GOOD_POLYGON_CAP) -> set[tuple[int, ...]]:
+def charvec_image(frame: RadialFrame) -> set[tuple[int, ...]]:
     """Set of characteristic vectors realized by the frame's good polygons."""
-    return {polygon_charvec(frame, poly) for poly in enumerate_good_polygons(frame, cap)}
+    return {polygon_charvec(frame, poly) for poly in enumerate_good_polygons(frame)}
 
 
-def find_charvec_collision(frame: RadialFrame, cap: int = GOOD_POLYGON_CAP):
+def find_charvec_collision(frame: RadialFrame):
     """Two distinct good polygons sharing a characteristic vector, or None.
 
     None certifies that the polygon-to-vector map is injective on this frame.
     """
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for poly in enumerate_good_polygons(frame, cap):
+    for poly in enumerate_good_polygons(frame):
         vec = polygon_charvec(frame, poly)
         if vec in seen:
             return (seen[vec], poly)
@@ -365,9 +366,9 @@ def move_along_ray(frame: RadialFrame, i: int, t) -> RadialFrame:
     return new
 
 
-def ray_move_preserves_image(frame: RadialFrame, i: int, t, cap: int = GOOD_POLYGON_CAP) -> bool:
+def ray_move_preserves_image(frame: RadialFrame, i: int, t) -> bool:
     """True iff moving point i along its ray leaves the set of realized vectors unchanged."""
-    return charvec_image(frame, cap) == charvec_image(move_along_ray(frame, i, t), cap)
+    return charvec_image(frame) == charvec_image(move_along_ray(frame, i, t))
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +402,7 @@ def _ray_exit(ps: PointSet, origin: Point, through: Point):
     raise AssertionError("ray from an interior configuration never left the hull")
 
 
-def project_to_convex_position(ps: PointSet, pivot: int, max_rounds: int = 64) -> PointSet:
+def project_to_convex_position(ps: PointSet, pivot: int) -> PointSet:
     """Push every non-pivot interior point outward along its pivot ray.
 
     The result keeps hull points and the pivot fixed, replaces each other
@@ -424,7 +425,7 @@ def project_to_convex_position(ps: PointSet, pivot: int, max_rounds: int = 64) -
     expected_interior = {pivot} - hull_set
     sides = ps.hull_sides()
 
-    for rnd in range(max_rounds):
+    for rnd in range(PROJECTION_ROUNDS):
         new_pts = list(ps.points)
         for i in movers:
             pos, t, u = exits[i]
@@ -446,4 +447,4 @@ def project_to_convex_position(ps: PointSet, pivot: int, max_rounds: int = 64) -
         if set(out.hull) == expected_hull and set(out.interior) == expected_interior:
             return out
     raise ConstructionError(
-        f"no valid outward placement found for pivot {pivot} within {max_rounds} rounds")
+        f"no valid outward placement found for pivot {pivot} within {PROJECTION_ROUNDS} rounds")

@@ -87,6 +87,8 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
+    if args.sides is not None and args.family != "quasi_convex":
+        raise ValueError("--sides needs --family quasi_convex")
     sides = tuple(int(s) for s in args.sides.split(",")) if args.sides else None
     spec = GenSpec(args.family, args.n, args.scale, args.seed, sides)
     ps = generate(spec)
@@ -128,14 +130,21 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _point_index(value: int, n: int, flag: str) -> int:
+    if not 0 <= value < n:
+        raise ValueError(f"{flag}: point index {value} is not in [0, {n})")
+    return value
+
+
 def _cmd_charvec(args) -> int:
     ps = load_point_set(args.file)
     pts = ps.points
     if args.radial:
         if args.center is None:
             raise ValueError("--radial needs --center")
-        others = [pts[i] for i in range(len(pts)) if i != args.center]
-        frame = charvec.build_radial_frame(pts[args.center], others)
+        center = _point_index(args.center, len(pts), "--center")
+        others = [pts[i] for i in range(len(pts)) if i != center]
+        frame = charvec.build_radial_frame(pts[center], others)
         if args.check_psi:
             collision = charvec.find_charvec_collision(frame)
             if collision is None:
@@ -148,9 +157,10 @@ def _cmd_charvec(args) -> int:
         return 0
     if args.apex is None or args.arms is None or args.chi is None:
         raise ValueError("angle mode needs --apex, --arms and --chi")
-    left, right = (int(s) for s in args.arms.split(","))
-    rest = [i for i in range(len(pts)) if i not in (args.apex, left, right)]
-    frame = charvec.build_angle_frame(pts[args.apex], pts[left], pts[right],
+    apex = _point_index(args.apex, len(pts), "--apex")
+    left, right = (_point_index(int(s), len(pts), "--arms") for s in args.arms.split(","))
+    rest = [i for i in range(len(pts)) if i not in (apex, left, right)]
+    frame = charvec.build_angle_frame(pts[apex], pts[left], pts[right],
                                       [pts[i] for i in rest])
     bits = tuple(int(b) for b in args.chi)
     polyline = charvec.polyline_from_charvec(frame, bits)

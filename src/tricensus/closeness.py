@@ -6,19 +6,24 @@ that side and any other point of the set strictly contains it.  A set is
 point can be close to a given side, which makes the quasi-convex polygon
 order well defined: walk the hull counter-clockwise and insert each close
 point between the endpoints of its side.
+
+Every other point lies left of a ccw hull side q -> r, so interior p is
+inside the triangle (q, r, a) exactly when p is left of r -> a and of a -> q:
+two orientation signs per apex.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import INSIDE, PointSet, point_in_triangle
+from .geom import INSIDE, PointSet, orient, point_in_triangle
 
 
 def _side_or_raise(ps: PointSet, side) -> tuple[int, int]:
     q, r = side
-    for a, b in ps.hull_sides():
-        if (q, r) == (a, b) or (q, r) == (b, a):
+    hull = ps.hull
+    for a, b in ((q, r), (r, q)):
+        if a in hull and hull[(hull.index(a) + 1) % len(hull)] == b:
             return (a, b)
     raise ValueError(f"({q}, {r}) is not a hull side")
 
@@ -33,11 +38,9 @@ def find_blocking_apex(ps: PointSet, p: int, side) -> int | None:
         raise ValueError(f"point {p} is not interior")
     q, r = _side_or_raise(ps, side)
     pts = ps.points
-    target = pts[p]
-    for apex in range(len(pts)):
-        if apex in (p, q, r):
-            continue
-        if point_in_triangle(target, pts[apex], pts[q], pts[r]) != INSIDE:
+    target, qp, rp = pts[p], pts[q], pts[r]
+    for apex, a in enumerate(pts):
+        if apex not in (p, q, r) and (orient(rp, a, target) != 1 or orient(a, qp, target) != 1):
             return apex
     return None
 
@@ -47,43 +50,26 @@ def is_close(ps: PointSet, p: int, side) -> bool:
 
 
 @dataclass(frozen=True)
-class ClosenessWitness:
-    point: int
-    side: tuple[int, int] | None
-    failing_apexes: dict  # non-close side -> one apex whose triangle misses the point
-
-
-@dataclass(frozen=True)
 class QuasiConvexReport:
     is_quasi_convex: bool
     assignment: dict  # interior index -> hull side (ccw pair)
     polygon_order: tuple[int, ...] | None
-    witnesses: dict  # interior index -> ClosenessWitness
 
 
 def classify(ps: PointSet) -> QuasiConvexReport:
-    """Test every interior point against every hull side and assemble the report.
+    """Assign each interior point its first close hull side and assemble the report.
 
     When the set is quasi-convex the report carries the quasi-convex polygon
-    order; each point is assigned its first close side in hull order, which
-    is collision-free because no side admits two close points.
+    order; sides are tried in hull order, and the assignment is collision-free
+    because no side admits two close points.
     """
     sides = ps.hull_sides()
     assignment: dict[int, tuple[int, int]] = {}
-    witnesses: dict[int, ClosenessWitness] = {}
     for p in ps.interior:
-        chosen = None
-        failing: dict[tuple[int, int], int] = {}
         for side in sides:
-            apex = find_blocking_apex(ps, p, side)
-            if apex is None:
-                if chosen is None:
-                    chosen = side
-            else:
-                failing[side] = apex
-        witnesses[p] = ClosenessWitness(p, chosen, failing)
-        if chosen is not None:
-            assignment[p] = chosen
+            if find_blocking_apex(ps, p, side) is None:
+                assignment[p] = side
+                break
 
     by_side: dict[tuple[int, int], int] = {}
     for p, side in assignment.items():
@@ -99,7 +85,7 @@ def classify(ps: PointSet) -> QuasiConvexReport:
             if side in by_side:
                 seq.append(by_side[side])
         order = tuple(seq)
-    return QuasiConvexReport(quasi, assignment, order, witnesses)
+    return QuasiConvexReport(quasi, assignment, order)
 
 
 def close_via_neighbor_triangles(ps: PointSet, p: int) -> bool:

@@ -10,14 +10,13 @@ and construction retries until the checks pass.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .closeness import classify, is_close
+from .closeness import is_close
 from .errors import ConstructionError
-from .geom import Point, PointSet, general_position_violation, orient
+from .geom import Point, PointSet, added_point_violation, general_position_violation, orient
 from .charvec import AngleFrame, RadialFrame, build_angle_frame, build_radial_frame
 
 _MASK64 = (1 << 64) - 1
@@ -142,8 +141,7 @@ def _ring_with_close_points(m: int, wanted_sides, scale: int) -> PointSet | None
                 continue
             if set(ps.hull) != set(range(m)):
                 continue
-            ok = all(is_close(ps, m + pos, (j, (j + 1) % m)) for pos, j in enumerate(wanted))
-            if ok and classify(ps).is_quasi_convex:
+            if all(is_close(ps, m + pos, (j, (j + 1) % m)) for pos, j in enumerate(wanted)):
                 return ps
     return None
 
@@ -172,13 +170,6 @@ def gen_quasi_convex(n_hull: int, sides, scale: int = 64) -> PointSet:
     return ps
 
 
-def _extends_general_position(pts: list[Point], cand: Point) -> bool:
-    """For ``pts`` in general position: is ``pts + [cand]`` too?  O(n^2), not O(n^3)."""
-    if cand in pts:
-        return False
-    return all(orient(p, q, cand) != 0 for p, q in itertools.combinations(pts, 2))
-
-
 def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
     """n integer points uniform in a box, resampled until general position holds."""
     if n < 3:
@@ -190,7 +181,7 @@ def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
     misses = 0
     while len(pts) < n:
         cand = Point(rng.below(bbox + 1), rng.below(bbox + 1))
-        if _extends_general_position(pts, cand):
+        if added_point_violation(pts, cand) is None:
             pts.append(cand)
             continue
         misses += 1
@@ -214,7 +205,7 @@ def gen_angle_frame(n: int, scale: int = 64, seed: int = 0) -> AngleFrame:
         s = orient(apex, left, right)
         if orient(apex, left, cand) != s or orient(apex, right, cand) != -s:
             continue
-        if _extends_general_position([apex, left, right, *pts], cand):
+        if added_point_violation([apex, left, right, *pts], cand) is None:
             pts.append(cand)
     return build_angle_frame(apex, left, right, pts)
 
@@ -228,6 +219,6 @@ def gen_radial_frame(n: int, scale: int = 64, seed: int = 0) -> RadialFrame:
     pts: list[Point] = []
     while len(pts) < n:
         cand = Point(rng.below(2 * scale + 1) - scale, rng.below(2 * scale + 1) - scale)
-        if _extends_general_position([center, *pts], cand):
+        if added_point_violation([center, *pts], cand) is None:
             pts.append(cand)
     return build_radial_frame(center, pts)

@@ -5,7 +5,8 @@ positive denominator), so every predicate in this module is decision-exact:
 there are no epsilons, no tolerances and no floating point anywhere.  Point
 sets are validated to be in general position (pairwise distinct, no three
 collinear) when built through :meth:`PointSet.from_points`; every other
-module relies on that.
+module relies on that.  One routine, :func:`added_point_violation`, checks a
+new point against points already in general position; all callers use it.
 
 The module also owns the "tricensus points v1" text format::
 
@@ -151,20 +152,28 @@ def in_convex_position(points: list[Point] | tuple[Point, ...]) -> bool:
         return False
 
 
-def general_position_violation(points) -> tuple[int, ...] | None:
-    """Return a witness index pair (duplicate) or triple (collinear), or None if none exists."""
-    seen: dict[tuple[Fraction, Fraction], int] = {}
+def added_point_violation(points, new: Point) -> tuple[int, ...] | None:
+    """For ``points`` in general position: ``(i,)`` if ``points[i] == new``,
+    ``(i, j)`` with i < j if both are collinear with ``new``, else None.  O(n^2).
+    """
     for i, p in enumerate(points):
-        key = (p.x, p.y)
-        if key in seen:
-            return (seen[key], i)
-        seen[key] = i
+        if p == new:
+            return (i,)
     n = len(points)
-    for i in range(n):
+    for i, p in enumerate(points):
         for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if orient(points[i], points[j], points[k]) == 0:
-                    return (i, j, k)
+            if orient(p, points[j], new) == 0:
+                return (i, j)
+    return None
+
+
+def general_position_violation(points) -> tuple[int, ...] | None:
+    """Ascending duplicate pair or collinear triple ending at the first index
+    that breaks general position, or None."""
+    for k in range(1, len(points)):
+        witness = added_point_violation(points[:k], points[k])
+        if witness is not None:
+            return (*witness, k)
     return None
 
 
@@ -198,7 +207,7 @@ class PointSet:
             kind = "duplicate points" if len(witness) == 2 else "collinear points"
             raise ValueError(f"not in general position: {kind} at indices {witness}")
         hull = tuple(convex_hull(pts))
-        interior = tuple(i for i in range(len(pts)) if i not in set(hull))
+        interior = tuple(sorted(set(range(len(pts))) - set(hull)))
         return cls(pts, hull, interior)
 
     @classmethod

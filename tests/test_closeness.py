@@ -10,7 +10,7 @@ from tricensus.closeness import (
     is_close,
 )
 from tricensus.generators import gen_convex, gen_double_circle, gen_random
-from tricensus.geom import Point, PointSet
+from tricensus.geom import INSIDE, Point, PointSet, point_in_triangle
 from tricensus.triangulations import count_partial
 
 SQUARE_PLUS_LOW = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(9, 20))]
@@ -67,12 +67,12 @@ def test_classify_pentagon_with_center_is_not_quasi_convex():
     rep = classify(ps)
     assert not rep.is_quasi_convex
     assert rep.polygon_order is None
-    witness = rep.witnesses[5]
-    assert witness.side is None
-    assert set(witness.failing_apexes) == set(ps.hull_sides())
-    for side, apex in witness.failing_apexes.items():
-        assert not is_close(ps, 5, side)
-        assert apex not in (5, *side)
+    assert rep.assignment == {}
+    for side in ps.hull_sides():
+        apex = find_blocking_apex(ps, 5, side)
+        assert apex is not None and apex not in (5, *side)
+        corners = [ps.points[i] for i in (apex, *side)]
+        assert point_in_triangle(ps.points[5], *corners) != INSIDE
 
 
 def test_equality_iff_quasi_convex_on_small_corpus():
@@ -84,12 +84,25 @@ def test_equality_iff_quasi_convex_on_small_corpus():
         assert equal == rep.is_quasi_convex
 
 
+def _blocking_apex_by_point_in_triangle(ps, p, side):
+    """Reference scan: first apex whose triangle over the side does not hold p INSIDE."""
+    pts = ps.points
+    for apex in range(len(pts)):
+        if apex not in (p, *side) and point_in_triangle(
+                pts[p], pts[apex], pts[side[0]], pts[side[1]]) != INSIDE:
+            return apex
+    return None
+
+
 def test_at_most_one_close_point_per_side():
     for k in range(25):
         ps = gen_random(4 + k % 6, 32, seed=880 + k)
         seen = {}
         for p in ps.interior:
             for side in ps.hull_sides():
+                expected = _blocking_apex_by_point_in_triangle(ps, p, side)
+                assert find_blocking_apex(ps, p, side) == expected
+                assert find_blocking_apex(ps, p, side[::-1]) == expected
                 if is_close(ps, p, side):
                     assert side not in seen, (side, seen[side], p)
                     seen[side] = p

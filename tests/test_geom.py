@@ -9,6 +9,7 @@ from tricensus.geom import (
     OUTSIDE,
     Point,
     PointSet,
+    added_point_violation,
     convex_hull,
     format_points,
     general_position_violation,
@@ -80,6 +81,9 @@ def test_general_position_witnesses():
     assert general_position_violation([P(0, 0), P(1, 1), P(2, 2)]) == (0, 1, 2)
     assert general_position_violation([P(0, 0), P(0, 0), P(1, 0)]) == (0, 1)
     assert is_general_position([P(0, 0), P(1, 0), P(0, 1)])
+    assert added_point_violation([P(0, 0), P(1, 0)], P(0, 1)) is None
+    assert added_point_violation([P(0, 0), P(1, 0)], P(1, 0)) == (1,)
+    assert added_point_violation([P(0, 0), P(3, 1), P(1, 1)], P(2, 2)) == (0, 2)
 
 
 def test_point_set_construction():
@@ -124,6 +128,40 @@ def test_orient_invariant_under_scaling_and_translation(p, q, r, scale, dx, dy):
         return P(scale * pt.x + dx, scale * pt.y + dy)
 
     assert orient(p, q, r) == orient(move(p), move(q), move(r))
+
+
+def _triple_loop_violation(pts):
+    """Reference check: one duplicate pass over the whole set, then every triple."""
+    seen = {}
+    for i, p in enumerate(pts):
+        if p in seen:
+            return (seen[p], i)
+        seen[p] = i
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            for k in range(j + 1, len(pts)):
+                if orient(pts[i], pts[j], pts[k]) == 0:
+                    return (i, j, k)
+    return None
+
+
+# a 4 x 4 grid, so duplicates and collinear triples are common
+grid_points = st.lists(st.builds(P, st.integers(0, 3), st.integers(0, 3)), max_size=9)
+
+
+@given(grid_points)
+def test_general_position_violation_matches_triple_loop(pts):
+    witness = general_position_violation(pts)
+    assert (witness is None) == (_triple_loop_violation(pts) is None)
+    if witness is None:
+        return
+    assert list(witness) == sorted(set(witness))
+    if len(witness) == 2:
+        assert pts[witness[0]] == pts[witness[1]]
+    else:
+        assert len(witness) == 3 and orient(*(pts[i] for i in witness)) == 0
+    # the witness ends at the first index that breaks general position
+    assert _triple_loop_violation(pts[:witness[-1]]) is None
 
 
 @given(points, points, points, points)

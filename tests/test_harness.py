@@ -167,6 +167,32 @@ def test_cli_charvec_radial(tmp_path, capsys):
     assert "injective" in capsys.readouterr().out
 
 
+def test_cli_charvec_rejects_indices_out_of_range(tmp_path, capsys):
+    target = tmp_path / "frame.pts"
+    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    for flag, extra in (("--center", ["--radial", "--center", "99"]),
+                        ("--center", ["--radial", "--center", "-1"]),
+                        ("--apex", ["--apex", "99", "--arms", "1,2", "--chi", "1"]),
+                        ("--apex", ["--apex", "-1", "--arms", "1,2", "--chi", "1"]),
+                        ("--arms", ["--apex", "0", "--arms", "1,99", "--chi", "1"])):
+        assert main(["charvec", str(target), *extra]) == 1
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"tricensus: error: {flag}: point index ")
+        assert captured.err.endswith(" is not in [0, 4)\n")
+        assert captured.out == ""
+
+
+def test_cli_gen_sides_needs_quasi_convex(tmp_path, capsys):
+    target = tmp_path / "out.pts"
+    for family in ("convex", "double_circle", "random"):
+        assert main(["gen", "--family", family, "--n", "6", "--sides", "0",
+                     "-o", str(target)]) == 1
+        assert capsys.readouterr().err == "tricensus: error: --sides needs --family quasi_convex\n"
+    assert not target.exists()
+    assert main(["gen", "--family", "quasi_convex", "--n", "6", "--sides", "0",
+                 "-o", str(target)]) == 0
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     report = tmp_path / "out.jsonl"
     code = main(["verify", "--family", "convex", "--n", "6", "--trials", "2",
