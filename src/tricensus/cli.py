@@ -89,7 +89,7 @@ def _build_parser() -> _Parser:
 def _cmd_gen(args) -> int:
     if args.sides is not None and args.family != "quasi_convex":
         raise ValueError("--sides needs --family quasi_convex")
-    sides = tuple(int(s) for s in args.sides.split(",")) if args.sides else None
+    sides = _int_list(args.sides, "--sides") if args.sides else None
     spec = GenSpec(args.family, args.n, args.scale, args.seed, sides)
     ps = generate(spec)
     save_point_set(args.output, ps)
@@ -130,6 +130,14 @@ def _cmd_classify(args) -> int:
     return 0
 
 
+def _int_list(text: str, flag: str) -> tuple[int, ...]:
+    """The comma-separated integers given to ``flag``."""
+    try:
+        return tuple(int(s) for s in text.split(","))
+    except ValueError:
+        raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
+
+
 def _point_index(value: int, n: int, flag: str) -> int:
     if not 0 <= value < n:
         raise ValueError(f"{flag}: point index {value} is not in [0, {n})")
@@ -158,7 +166,10 @@ def _cmd_charvec(args) -> int:
     if args.apex is None or args.arms is None or args.chi is None:
         raise ValueError("angle mode needs --apex, --arms and --chi")
     apex = _point_index(args.apex, len(pts), "--apex")
-    left, right = (_point_index(int(s), len(pts), "--arms") for s in args.arms.split(","))
+    arms = _int_list(args.arms, "--arms")
+    if len(arms) != 2:
+        raise ValueError(f"--arms: expected two point indices, got {args.arms!r}")
+    left, right = (_point_index(i, len(pts), "--arms") for i in arms)
     rest = [i for i in range(len(pts)) if i not in (apex, left, right)]
     frame = charvec.build_angle_frame(pts[apex], pts[left], pts[right],
                                       [pts[i] for i in rest])

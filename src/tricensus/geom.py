@@ -7,6 +7,8 @@ sets are validated to be in general position (pairwise distinct, no three
 collinear) when built through :meth:`PointSet.from_points`; every other
 module relies on that.  One routine, :func:`added_point_violation`, checks a
 new point against points already in general position; all callers use it.
+It decides general position by hashing the exact reduced integer direction
+from the new point to each other point, so a whole set takes O(n^2).
 
 The module also owns the "tricensus points v1" text format::
 
@@ -22,6 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 Coord = Fraction
@@ -154,17 +157,36 @@ def in_convex_position(points: list[Point] | tuple[Point, ...]) -> bool:
 
 def added_point_violation(points, new: Point) -> tuple[int, ...] | None:
     """For ``points`` in general position: ``(i,)`` if ``points[i] == new``,
-    ``(i, j)`` with i < j if both are collinear with ``new``, else None.  O(n^2).
+    ``(i, j)`` with i < j if both are collinear with ``new``, else None.  O(n).
+
+    An equal point wins over a collinear pair, and of several collinear pairs
+    the lexicographically smallest is returned.  Each ``points[i]`` is keyed
+    by the exact direction ``new -> points[i]`` as a reduced integer pair with
+    a fixed sign, so two points are collinear with ``new`` iff their keys match.
     """
+    nxn, nxd = new.x.numerator, new.x.denominator
+    nyn, nyd = new.y.numerator, new.y.denominator
+    integral = nxd == 1 and nyd == 1
+    first: dict[tuple[int, int], int] = {}
+    pair = None
     for i, p in enumerate(points):
-        if p == new:
+        px, py = p.x, p.y
+        pxd, pyd = px.denominator, py.denominator
+        if integral and pxd == 1 and pyd == 1:
+            dx, dy = px.numerator - nxn, py.numerator - nyn
+        else:
+            # (px - nx, py - ny) times the product of the four positive denominators
+            dx = (px.numerator * nxd - nxn * pxd) * (pyd * nyd)
+            dy = (py.numerator * nyd - nyn * pyd) * (pxd * nxd)
+        g = gcd(dx, dy)
+        if g == 0:
             return (i,)
-    n = len(points)
-    for i, p in enumerate(points):
-        for j in range(i + 1, n):
-            if orient(p, points[j], new) == 0:
-                return (i, j)
-    return None
+        if dx < 0 or (dx == 0 and dy < 0):
+            g = -g
+        j = first.setdefault((dx // g, dy // g), i)
+        if j != i and (pair is None or j < pair[0]):
+            pair = (j, i)
+    return pair
 
 
 def general_position_violation(points) -> tuple[int, ...] | None:

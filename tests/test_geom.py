@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -20,6 +21,7 @@ from tricensus.geom import (
     point_in_triangle,
     segments_properly_cross,
 )
+from tricensus.generators import gen_double_circle, gen_random
 
 P = Point
 
@@ -162,6 +164,71 @@ def test_general_position_violation_matches_triple_loop(pts):
         assert len(witness) == 3 and orient(*(pts[i] for i in witness)) == 0
     # the witness ends at the first index that breaks general position
     assert _triple_loop_violation(pts[:witness[-1]]) is None
+
+
+def _pairwise_added_violation(pts, new):
+    """Reference check: an equal-point pass, then every pair of points against ``new``."""
+    for i, p in enumerate(pts):
+        if p == new:
+            return (i,)
+    for i in range(len(pts)):
+        for j in range(i + 1, len(pts)):
+            if orient(pts[i], pts[j], new) == 0:
+                return (i, j)
+    return None
+
+
+# k/d with d in 1..3 on a small grid: integer and rational points mix, and
+# equal points and collinear triples are common
+grid_fractions = st.builds(Fraction, st.integers(0, 4), st.integers(1, 3))
+rational_grid_points = st.lists(st.builds(P, grid_fractions, grid_fractions), max_size=9)
+
+
+@given(st.one_of(grid_points, rational_grid_points))
+def test_violation_witnesses_match_pairwise_loop(pts):
+    expected = None
+    for k in range(len(pts)):
+        witness = _pairwise_added_violation(pts[:k], pts[k])
+        assert added_point_violation(pts[:k], pts[k]) == witness
+        if expected is None and witness is not None:
+            expected = (*witness, k)
+    assert general_position_violation(pts) == expected
+
+
+def test_added_point_violation_exact_near_2_to_80():
+    big = 2 ** 80
+    new = P(big, big + 1)
+
+    def at(dx, dy):
+        return P(new.x + dx, new.y + dy)
+
+    # (3 * 2^80 + 1, 5 * 2^80) and (3, 5) have equal float slopes but are not parallel
+    near = at(3 * big + 1, 5 * big)
+    assert added_point_violation([at(3, 5), near], new) is None
+    assert added_point_violation([at(-7, 2), at(3, 5), near, at(-3 * big, -5 * big)], new) == (1, 3)
+    assert general_position_violation([new, at(3, 5), near]) is None
+    assert general_position_violation([at(3, 5), new, near, at(6, 10)]) == (0, 1, 3)
+    assert added_point_violation([at(1, 1), new], new) == (1,)
+    # rational coordinates near 2^80 take the cross-multiplied branch
+    third = Fraction(1, 3)
+    new = P(Fraction(big + 1, 3), Fraction(big, 7))
+    assert added_point_violation([at(third, 1), at(big * third + third, big)], new) is None
+    assert added_point_violation([at(third, 1), at(big * third, big)], new) == (0, 1)
+
+
+@pytest.mark.parametrize("ps, ends, witness", [
+    (gen_random(60, 256, 5), (58, 59), (31, 36, 60)),
+    (gen_double_circle(38), (10, 50), (10, 50, 76)),
+])
+def test_large_sets_load_unchanged_and_reject_a_shared_line(ps, ends, witness):
+    loaded = PointSet.from_points(ps.points)
+    assert (loaded.points, loaded.hull, loaded.interior) == (ps.points, ps.hull, ps.interior)
+    # the midpoint of two points is on their line, and here maybe on a lower-indexed one too
+    a, b = (ps.points[i] for i in ends)
+    extended = ps.points + (P((a.x + b.x) / 2, (a.y + b.y) / 2),)
+    assert general_position_violation(extended) == witness
+    with pytest.raises(ValueError, match=re.escape(f"collinear points at indices {witness}")):
+        PointSet.from_points(extended)
 
 
 @given(points, points, points, points)

@@ -182,6 +182,28 @@ def test_cli_charvec_rejects_indices_out_of_range(tmp_path, capsys):
         assert captured.out == ""
 
 
+def test_cli_charvec_rejects_malformed_arms(tmp_path, capsys):
+    target = tmp_path / "frame.pts"
+    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    for arms, problem in (("1,2,3", "expected two point indices"),
+                          ("1", "expected two point indices"),
+                          ("a,b", "expected comma-separated integers")):
+        assert main(["charvec", str(target), "--apex", "0", "--arms", arms, "--chi", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"tricensus: error: --arms: {problem}, got {arms!r}\n"
+        assert captured.out == ""
+
+
+def test_cli_gen_rejects_malformed_sides(tmp_path, capsys):
+    target = tmp_path / "out.pts"
+    for sides in ("a", "0,x", "1,,2"):
+        assert main(["gen", "--family", "quasi_convex", "--n", "8", "--sides", sides,
+                     "-o", str(target)]) == 1
+        assert capsys.readouterr().err == (
+            f"tricensus: error: --sides: expected comma-separated integers, got {sides!r}\n")
+    assert not target.exists()
+
+
 def test_cli_gen_sides_needs_quasi_convex(tmp_path, capsys):
     target = tmp_path / "out.pts"
     for family in ("convex", "double_circle", "random"):
