@@ -90,6 +90,10 @@ def _cmd_gen(args) -> int:
     if args.sides is not None and args.family != "quasi_convex":
         raise ValueError("--sides needs --family quasi_convex")
     sides = _int_list(args.sides, "--sides") if args.sides else None
+    for k, j in enumerate(sides or ()):
+        _index(j, args.n - len(sides), "--sides", "side index")
+        if j in sides[:k]:
+            raise ValueError(f"--sides: side index {j} is repeated")
     spec = GenSpec(args.family, args.n, args.scale, args.seed, sides)
     ps = generate(spec)
     save_point_set(args.output, ps)
@@ -138,9 +142,16 @@ def _int_list(text: str, flag: str) -> tuple[int, ...]:
         raise ValueError(f"{flag}: expected comma-separated integers, got {text!r}") from None
 
 
-def _point_index(value: int, n: int, flag: str) -> int:
+def _bit_string(text: str, flag: str) -> tuple[int, ...]:
+    """The 0/1 string given to ``flag``, as bits."""
+    if not set(text) <= {"0", "1"}:
+        raise ValueError(f"{flag}: expected a 0/1 string, got {text!r}")
+    return tuple(map(int, text))
+
+
+def _index(value: int, n: int, flag: str, what: str = "point index") -> int:
     if not 0 <= value < n:
-        raise ValueError(f"{flag}: point index {value} is not in [0, {n})")
+        raise ValueError(f"{flag}: {what} {value} is not in [0, {n})")
     return value
 
 
@@ -150,7 +161,7 @@ def _cmd_charvec(args) -> int:
     if args.radial:
         if args.center is None:
             raise ValueError("--radial needs --center")
-        center = _point_index(args.center, len(pts), "--center")
+        center = _index(args.center, len(pts), "--center")
         others = [pts[i] for i in range(len(pts)) if i != center]
         frame = charvec.build_radial_frame(pts[center], others)
         if args.check_psi:
@@ -165,15 +176,18 @@ def _cmd_charvec(args) -> int:
         return 0
     if args.apex is None or args.arms is None or args.chi is None:
         raise ValueError("angle mode needs --apex, --arms and --chi")
-    apex = _point_index(args.apex, len(pts), "--apex")
+    apex = _index(args.apex, len(pts), "--apex")
     arms = _int_list(args.arms, "--arms")
     if len(arms) != 2:
         raise ValueError(f"--arms: expected two point indices, got {args.arms!r}")
-    left, right = (_point_index(i, len(pts), "--arms") for i in arms)
+    left, right = (_index(i, len(pts), "--arms") for i in arms)
+    bits = _bit_string(args.chi, "--chi")
     rest = [i for i in range(len(pts)) if i not in (apex, left, right)]
     frame = charvec.build_angle_frame(pts[apex], pts[left], pts[right],
                                       [pts[i] for i in rest])
-    bits = tuple(int(b) for b in args.chi)
+    n = len(frame.interior)
+    if len(bits) != n:
+        raise ValueError(f"--chi: expected a 0/1 string of length {n}, got {args.chi!r}")
     polyline = charvec.polyline_from_charvec(frame, bits)
     by_point = {pts[i]: i for i in rest}
     internal = [by_point[frame.interior[k]] for k in polyline]

@@ -159,8 +159,9 @@ def gen_quasi_convex(n_hull: int, sides, scale: int = 64) -> PointSet:
     """Convex hull plus certified-close points on the selected ring sides."""
     _check_sizes(n_hull, scale)
     sides = tuple(sorted(set(sides)))
-    if any(not 0 <= j < n_hull for j in sides):
-        raise ValueError(f"side indices must be in [0, {n_hull})")
+    for j in sides:
+        if not 0 <= j < n_hull:
+            raise ValueError(f"side index {j} is not in [0, {n_hull})")
     if not sides:
         return gen_convex(n_hull, scale, _FAMILY_SEED)
     ps = _ring_with_close_points(n_hull, sides, scale)

@@ -4,12 +4,20 @@ A *full* triangulation of a point set uses every point as a vertex; a
 *partial* triangulation may skip interior points but must use every hull
 vertex.  Both are counted by one anchored-edge recursion over regions (Ray
 and Seidel, "A simple and less slow method for counting triangulations",
-EuroCG 2004).  A region is a simple polygon, a counter-clockwise index cycle,
-plus the points strictly inside it.  The anchor edge is the lexicographically
-smallest boundary edge by index pair; every triangulation of the region has
-exactly one triangle on that edge, so summing over the valid apexes counts
-each triangulation once.  An apex at a boundary vertex splits the region in
-two; an apex at an inside point merges that point into the boundary.
+EuroCG 2004).  A region is a simple polygon, a counter-clockwise cycle of
+point ranks, plus the points strictly inside it.  The anchor edge is the
+lexicographically smallest boundary edge by rank pair; every triangulation of
+the region has exactly one triangle on that edge, so summing over the valid
+apexes counts each triangulation once.  An apex at a boundary vertex splits
+the region in two; an apex at an inside point merges that point into the
+boundary.
+
+Ranks come from a point order fixed when the tables are built.  The counts
+use a canonical order, the interior points by (x, y) and then the hull
+vertices by (x, y), so the anchors, the apex order and the memo, and with
+them the work of a count, depend on the points and not on how the input
+labels them.  The enumerators use the identity order, so ranks are input
+indices and listings come out in input index order.
 
 The recursion has two modes:
 
@@ -24,15 +32,16 @@ The recursion has two modes:
 In both modes the points inside a region follow from its boundary cycle, so
 one memo per call, keyed by the rotated cycle alone, serves the whole count.
 
-The recursion reads integers only.  Built lazily, once per point set, from
-the orientation table: bitmasks of the points left of each directed pair, so
-that a triangle's interior is three ANDs; per-segment masks of the edges that
-properly cross it, ANDed with a region's edge mask; and, from integer (y, x)
-ranks, the points whose rightward ray crosses each segment, so that the
-points inside a sub-polygon are a crossing-parity XOR over its edges.
-Ranking by (y, x) instead of y is a consistent symbolic tie-break (an
-infinitesimal shear, which changes no orientation), so points sharing a y
-coordinate need no special case.
+The recursion reads integers only.  Built lazily, once per point set and
+order, from the orientation table: bitmasks of the points left of each
+directed pair, so that a triangle's interior is three ANDs; per-segment masks
+of the edges that properly cross it, ANDed with a region's edge mask; and,
+from integer (y, x) heights, the points whose rightward ray crosses each
+segment, so that the points inside a sub-polygon are a crossing-parity XOR
+over its edges.  Ordering heights by (y, x) instead of y is a consistent
+symbolic tie-break (an infinitesimal shear, which changes no orientation), so
+points sharing a y coordinate need no special case.  The build is the only
+place a ``Fraction`` is compared.
 
 ``brute_force_count`` is a deliberately independent oracle: it counts
 maximal pairwise-non-crossing edge sets by lexicographic backtracking over
@@ -91,36 +100,53 @@ def _bits(mask: int):
 
 
 class _RegionTables:
-    """The integer tables the region recursion reads, built once per point set."""
+    """The integer tables the region recursion reads, built once per point set
+    and point order.
 
-    def __init__(self, ps: PointSet):
+    ``order[r]`` is the index of the point of rank r and ``rank[i]`` is the
+    rank of point i.  Every mask, cycle and apex the recursion sees is in rank
+    space, so the anchor edge, the apex order and the memo key all follow
+    ``order``.
+    """
+
+    def __init__(self, ps: PointSet, order):
         tab = ps.orient_table()
         pts = ps.points
         n = len(pts)
-        # left[p][q]: the points strictly left of the directed line p -> q
-        left = [[_mask(w for w in range(n) if tab[p][q][w] > 0) for q in range(n)]
-                for p in range(n)]
-        # edge_bit[u][v]: the bit of the undirected edge uv in a region's edge mask
-        edge_bit = [[1 << (min(u, v) * n + max(u, v)) for v in range(n)] for u in range(n)]
-        # ray[u][v]: the points whose rightward ray crosses segment uv; a point
-        # is level with a segment when its (y, x) rank lies strictly between
-        # the ranks of the endpoints
-        order = sorted(range(n), key=lambda i: (pts[i].y, pts[i].x))
-        below = [0]  # below[r]: the points of rank < r
-        for i in order:
-            below.append(below[-1] | 1 << i)
         rank = [0] * n
         for r, i in enumerate(order):
             rank[i] = r
+        # left[p][q]: the ranks strictly left of the directed line p -> q
+        bit = [1 << r for r in rank]
+        left = [[sum(b for b, s in zip(bit, tab[p][q]) if s > 0) for q in order]
+                for p in order]
+        # edge_bit[u][v]: the bit of the undirected edge uv in a region's edge mask
+        edge_bit = [[1 << (min(u, v) * n + max(u, v)) for v in range(n)] for u in range(n)]
+        # ray[u][v]: the ranks whose rightward ray crosses segment uv; a point
+        # is level with a segment when its (y, x) height lies strictly between
+        # the heights of the endpoints
+        by_height = sorted(range(n), key=lambda r: (pts[order[r]].y, pts[order[r]].x))
+        below = [0]  # below[h]: the ranks of height < h
+        for r in by_height:
+            below.append(below[-1] | 1 << r)
+        height = [0] * n
+        for h, r in enumerate(by_height):
+            height[r] = h
         ray = [[0] * n for _ in range(n)]
         for u in range(n):
             for v in range(n):
-                if rank[u] < rank[v]:
-                    ray[u][v] = ray[v][u] = (below[rank[v]] ^ below[rank[u] + 1]) & left[u][v]
+                if height[u] < height[v]:
+                    ray[u][v] = ray[v][u] = (below[height[v]] ^ below[height[u] + 1]) & left[u][v]
+        self.rank = rank
         self.left = left
         self.edge_bit = edge_bit
         self.ray = ray
         self._cross = [[None] * n for _ in range(n)]
+
+    def region(self, boundary, inside) -> tuple[tuple[int, ...], int]:
+        """A boundary cycle and inside points, given by index, in rank space."""
+        rank = self.rank
+        return tuple(rank[i] for i in boundary), _mask(rank[i] for i in inside)
 
     def crossing(self, p: int, q: int) -> int:
         """Edge mask of every segment that properly crosses segment pq."""
@@ -136,17 +162,31 @@ class _RegionTables:
         return mask
 
 
-def _tables(ps: PointSet) -> _RegionTables:
-    tables = ps._cache.get("regions")
+def _tables(ps: PointSet, canonical: bool) -> _RegionTables:
+    """The region tables of ``ps``, cached per order.
+
+    The canonical order, for counting, ranks the interior points by (x, y) and
+    then the hull vertices by (x, y), so a count's work depends on the points,
+    not on their labels.  The enumerators take the identity order, so ranks
+    are indices and listings keep input index order.
+    """
+    key = "regions" if canonical else "regions_by_index"
+    tables = ps._cache.get(key)
     if tables is None:
-        tables = ps._cache["regions"] = _RegionTables(ps)
+        if canonical:
+            def xy(i):
+                return ps.points[i].x, ps.points[i].y
+            order = sorted(ps.interior, key=xy) + sorted(ps.hull, key=xy)
+        else:
+            order = range(len(ps.points))
+        tables = ps._cache[key] = _RegionTables(ps, order)
     return tables
 
 
 def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
     """Rotate a ccw cycle so the lexicographically smallest edge pair comes first.
 
-    That edge joins the smallest index to the smaller of its two neighbours.
+    That edge joins the smallest rank to the smaller of its two neighbours.
     """
     i = boundary.index(min(boundary))
     if boundary[i - 1] < boundary[(i + 1) % len(boundary)]:
@@ -161,7 +201,7 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, required
     points strictly inside the cycle.  In required mode the anchor triangle
     may contain none of them; in optional mode it may, and they are left
     unused.  Apexes come in the order cyc[2:], then inside points by
-    ascending index.  Each sub-region is a (boundary, inside) pair, or None
+    ascending rank.  Each sub-region is a (boundary, inside) pair, or None
     when the split degenerates to a bare edge.
     """
     left, ray, edge_bit = t.left, t.ray, t.edge_bit
@@ -251,7 +291,9 @@ def _check_subset(ps: PointSet, vertex_subset) -> frozenset[int]:
 def count_on_subset(ps: PointSet, vertex_subset) -> int:
     """Number of triangulations of conv(M) using exactly the given vertices."""
     sub = _check_subset(ps, vertex_subset)
-    return _count_region(_tables(ps), ps.hull, _mask(sub.difference(ps.hull)), True, {})
+    t = _tables(ps, True)
+    boundary, inside = t.region(ps.hull, sub.difference(ps.hull))
+    return _count_region(t, boundary, inside, True, {})
 
 
 def count_full(ps: PointSet) -> int:
@@ -261,14 +303,19 @@ def count_full(ps: PointSet) -> int:
 
 def count_partial(ps: PointSet) -> int:
     """Number of partial triangulations: one optional-mode region recursion."""
-    return _count_region(_tables(ps), ps.hull, _mask(ps.interior), False, {})
+    t = _tables(ps, True)
+    boundary, inside = t.region(ps.hull, ps.interior)
+    return _count_region(t, boundary, inside, False, {})
 
 
 def enumerate_on_subset(ps: PointSet, vertex_subset, cap: int = ENUMERATION_CAP) -> list[Triangulation]:
     sub = _check_subset(ps, vertex_subset)
     if len(sub) > cap:
         raise SizeCapError(f"enumeration refused for {len(sub)} vertices (cap {cap})")
-    raw = _enumerate_region(_tables(ps), ps.hull, _mask(sub.difference(ps.hull)), {})
+    # identity order: ranks are indices, so the listed triangles need no mapping back
+    t = _tables(ps, False)
+    boundary, inside = t.region(ps.hull, sub.difference(ps.hull))
+    raw = _enumerate_region(t, boundary, inside, {})
     return [Triangulation(sub, tuple(sorted(tris))) for tris in raw]
 
 

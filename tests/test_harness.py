@@ -2,9 +2,10 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricensus.cli import main
-from tricensus.generators import gen_convex, gen_double_circle
+from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
 from tricensus.geom import PointSet, save_point_set
 from tricensus.harness import (
     CorpusReport,
@@ -45,6 +46,37 @@ def test_verify_instance_cap_skips():
     assert v.partial_count is None
     # the cap is decided before any table or region mask is built
     assert "orient" not in ps._cache and "regions" not in ps._cache
+
+
+FAMILIES = st.sampled_from(["convex", "double_circle", "quasi_convex", "random"])
+
+
+@settings(max_examples=40, deadline=None)
+@given(family=FAMILIES, n=st.integers(4, 9), cap=st.integers(0, 12), seed=st.integers(0, 999))
+def test_verify_instance_skips_exactly_above_the_cap(family, n, cap, seed):
+    if family == "double_circle":
+        n = max(6, n + n % 2)
+    ps = generate(GenSpec(family, n, 64, seed, (0,) if family == "quasi_convex" else None))
+    v = verify_instance(ps, "drawn", cap)
+    assert v.skipped == (n > cap)
+    if v.skipped:
+        assert v.skip_reason == f"size {n} exceeds cap {cap}"
+        assert v.partial_count is None
+        assert not ps._cache  # neither the orientation table nor any region table
+    else:
+        assert v.partial_count is not None and v.lower_bound_ok and v.equality_iff_ok
+
+
+@settings(max_examples=6, deadline=None)
+@given(family=st.sampled_from(["convex", "quasi_convex", "random"]),
+       n=st.integers(4, 8), seed=st.integers(0, 10**6))
+def test_parallel_report_is_byte_identical_to_serial(family, n, seed):
+    # a double circle family is one instance, which never reaches the pool
+    cfg = RunConfig(family=family, n=n, trials=3, seed=seed)
+    serial = run_corpus(cfg).to_jsonl()
+    cfg.jobs = 2
+    # the config line echoes the job count; every other byte must match
+    assert run_corpus(cfg).to_jsonl() == serial.replace('"jobs": 1', '"jobs": 2')
 
 
 def test_run_corpus_empty():
@@ -192,6 +224,31 @@ def test_cli_charvec_rejects_malformed_arms(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"tricensus: error: --arms: {problem}, got {arms!r}\n"
         assert captured.out == ""
+
+
+def test_cli_charvec_rejects_malformed_chi(tmp_path, capsys):
+    target = tmp_path / "frame.pts"
+    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    for chi, problem in (("x", "expected a 0/1 string"),
+                         ("012", "expected a 0/1 string"),
+                         ("01", "expected a 0/1 string of length 1"),
+                         ("", "expected a 0/1 string of length 1")):
+        assert main(["charvec", str(target), "--apex", "0", "--arms", "1,2", "--chi", chi]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"tricensus: error: --chi: {problem}, got {chi!r}\n"
+        assert captured.out == ""
+
+
+def test_cli_gen_rejects_out_of_range_or_repeated_sides(tmp_path, capsys):
+    target = tmp_path / "out.pts"
+    for sides, problem in (("99", "side index 99 is not in [0, 7)"),
+                           ("0,7", "side index 7 is not in [0, 6)"),
+                           ("-1", "side index -1 is not in [0, 7)"),
+                           ("1,1", "side index 1 is repeated")):
+        assert main(["gen", "--family", "quasi_convex", "--n", "8", f"--sides={sides}",
+                     "-o", str(target)]) == 1
+        assert capsys.readouterr().err == f"tricensus: error: --sides: {problem}\n"
+    assert not target.exists()
 
 
 def test_cli_gen_rejects_malformed_sides(tmp_path, capsys):

@@ -4,9 +4,12 @@ independent counts.
 ``subset_sum_partial`` is the per-subset engine ``count_partial`` replaced,
 kept here as an oracle: for every interior subset it runs a fresh
 required-interior region recursion, with its own segment-crossing test and a
-point-in-polygon test on the ``Fraction`` y coordinates.
+point-in-polygon test on the ``Fraction`` y coordinates.  It anchors on the
+smallest edge by input index, while the engine anchors in its canonical rank
+order, so the two also share no anchor, apex or memo order.
 """
 
+import random
 from itertools import combinations
 
 from hypothesis import assume, given, settings, strategies as st
@@ -14,6 +17,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
 from tricensus.geom import Point, PointSet, is_general_position
+from tricensus import triangulations
 from tricensus.triangulations import brute_force_count, count_full, count_partial
 
 
@@ -147,3 +151,40 @@ def test_shared_y_coordinates(ps):
     assert count_partial(ps) == subset_sum_partial(ps)
     if len(ps.points) <= 9:
         assert count_full(ps) == brute_force_count(ps)
+
+
+def _partial_states(ps, monkeypatch):
+    """count_partial and the number of region states in its memo."""
+    memos = []
+    engine = triangulations._count_region
+
+    def spy(t, boundary, inside, required, memo):
+        if not memos:
+            memos.append(memo)
+        return engine(t, boundary, inside, required, memo)
+
+    with monkeypatch.context() as m:
+        m.setattr(triangulations, "_count_region", spy)
+        count = count_partial(ps)
+    return count, len(memos[0])
+
+
+def _relabelled(ps, seed):
+    points = list(ps.points)
+    random.Random(seed).shuffle(points)
+    return PointSet.from_points(points)
+
+
+def test_counts_and_work_do_not_depend_on_labels(monkeypatch):
+    sets = [gen_random(n, 96, seed=9300 + n) for n in range(4, 13)]
+    sets += [gen_double_circle(m) for m in range(3, 7)]
+    sets += [gen_quasi_convex(7, (0, 2, 5)), gen_quasi_convex(8, (0, 1, 3, 6))]
+    for k, ps in enumerate(sets):
+        partial, states = _partial_states(ps, monkeypatch)
+        full = count_full(ps)
+        assert states > 0
+        for seed in range(3):
+            shuffled = _relabelled(ps, 100 * k + seed)
+            assert shuffled.points != ps.points
+            assert _partial_states(shuffled, monkeypatch) == (partial, states), (k, seed)
+            assert count_full(shuffled) == full, (k, seed)

@@ -1,12 +1,14 @@
+import hashlib
 from itertools import combinations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from tricensus.catalan import polygon_triangulation_count
+from tricensus.cli import main
 from tricensus.errors import SizeCapError
-from tricensus.generators import gen_convex, gen_double_circle, gen_random
-from tricensus.geom import PointSet
+from tricensus.generators import GenSpec, gen_convex, gen_double_circle, gen_random, generate
+from tricensus.geom import PointSet, save_point_set
 from tricensus.triangulations import (
     Triangulation,
     brute_force_count,
@@ -168,3 +170,27 @@ def test_full_count_never_below_hull_polygon_count(seed):
     # skipping interior points can only lose triangulations relative to partial
     assert count_partial(ps) >= count_full(ps)
     assert count_partial(ps) >= polygon_triangulation_count(len(ps.points))
+
+
+# SHA-256 of the stdout of `tricensus count <file> --mode partial --enumerate`
+# for `tricensus gen` outputs.  The enumerators list in input index order, so
+# a change to the counting order must leave these listings byte-identical.
+PINNED_LISTINGS = [
+    (GenSpec("random", 9, seed=3), 707,
+     "934ff5eccb80a23c1dc29d8e3febc2ffe422e8b07316e620151a618b0199f3f0"),
+    (GenSpec("random", 11, seed=5), 12378,
+     "c63e04590b322e5faf51fa2fd4ceec3e87484d966fd0d8aa979fbbc45b7c25cf"),
+    (GenSpec("double_circle", 10), 1430,
+     "b7ad7b3ca3d653542d53857b57a0e3d6304e7a554ad669d866ec4d0f20ab8131"),
+]
+
+
+@pytest.mark.parametrize("spec,count,digest", PINNED_LISTINGS,
+                         ids=[spec.instance_id() for spec, _, _ in PINNED_LISTINGS])
+def test_partial_listing_is_pinned(tmp_path, capsys, spec, count, digest):
+    target = tmp_path / "set.pts"
+    save_point_set(target, generate(spec))
+    assert main(["count", str(target), "--mode", "partial", "--enumerate"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"{count}\n"
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
