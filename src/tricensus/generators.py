@@ -59,18 +59,25 @@ class GenSpec:
 
 
 def generate(spec: GenSpec) -> PointSet:
+    """The point set ``spec`` describes.  A point count below the family's
+    minimum is refused with an error that names ``--n``, the option that sets it."""
+    sides = spec.sides or ()
+    minimum = {"convex": 3, "double_circle": 6, "quasi_convex": 3 + len(sides),
+               "random": 3}.get(spec.family)
+    if minimum is None:
+        raise ValueError(f"unknown family {spec.family!r}")
+    if spec.n < minimum:
+        family = f"quasi_convex with sides {','.join(map(str, sides))}" if sides else spec.family
+        raise ValueError(f"--n: {family} needs at least {minimum} points, got {spec.n}")
     if spec.family == "convex":
         return gen_convex(spec.n, spec.scale, spec.seed)
     if spec.family == "double_circle":
         if spec.n % 2:
-            raise ValueError("double circle needs an even point count")
+            raise ValueError(f"--n: double_circle needs an even point count, got {spec.n}")
         return gen_double_circle(spec.n // 2, spec.scale)
     if spec.family == "quasi_convex":
-        sides = spec.sides or ()
         return gen_quasi_convex(spec.n - len(sides), sides, spec.scale)
-    if spec.family == "random":
-        return gen_random(spec.n, 4 * spec.scale, spec.seed)
-    raise ValueError(f"unknown family {spec.family!r}")
+    return gen_random(spec.n, 4 * spec.scale, spec.seed)
 
 
 def _check_sizes(n: int, scale: int, minimum: int = 3) -> None:

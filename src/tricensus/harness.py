@@ -138,7 +138,7 @@ def build_corpus(cfg: RunConfig) -> list[tuple[str, GenSpec]]:
         specs = [GenSpec("double_circle", cfg.n, cfg.scale)]
     elif cfg.family == "quasi_convex":
         if cfg.n < 4:
-            raise ValueError("quasi_convex instances need at least 4 points")
+            raise ValueError(f"--n: quasi_convex needs at least 4 points, got {cfg.n}")
         rng = SplitMix64(cfg.seed)
         for t in range(cfg.trials):
             k = 1 + rng.below(max(1, min(cfg.n // 2, cfg.n - 3)))

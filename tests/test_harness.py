@@ -272,6 +272,25 @@ def test_cli_gen_sides_needs_quasi_convex(tmp_path, capsys):
                  "-o", str(target)]) == 0
 
 
+@pytest.mark.parametrize("argv,problem", [
+    (["gen", "--family", "double_circle", "--n", "4"],
+     "double_circle needs at least 6 points, got 4"),
+    (["gen", "--family", "quasi_convex", "--n", "4", "--sides", "0,1"],
+     "quasi_convex with sides 0,1 needs at least 5 points, got 4"),
+    (["gen", "--family", "random", "--n", "2"], "random needs at least 3 points, got 2"),
+    (["verify", "--family", "double_circle", "--n", "4"],
+     "double_circle needs at least 6 points, got 4"),
+    (["verify", "--family", "quasi_convex", "--n", "3"],
+     "quasi_convex needs at least 4 points, got 3"),
+])
+def test_cli_rejects_too_few_points(tmp_path, capsys, argv, problem):
+    target = tmp_path / "out.pts"
+    extra = ["-o", str(target)] if argv[0] == "gen" else []
+    assert main(argv + extra) == 1
+    assert capsys.readouterr().err == f"tricensus: error: --n: {problem}\n"
+    assert not target.exists()
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     report = tmp_path / "out.jsonl"
     code = main(["verify", "--family", "convex", "--n", "6", "--trials", "2",

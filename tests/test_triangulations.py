@@ -1,4 +1,8 @@
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 from itertools import combinations
 
 import pytest
@@ -172,9 +176,10 @@ def test_full_count_never_below_hull_polygon_count(seed):
     assert count_partial(ps) >= polygon_triangulation_count(len(ps.points))
 
 
-# SHA-256 of the stdout of `tricensus count <file> --mode partial --enumerate`
-# for `tricensus gen` outputs.  The enumerators list in input index order, so
-# a change to the counting order must leave these listings byte-identical.
+# SHA-256 of the stdout of `tricensus count <file> --mode <mode> --enumerate`
+# for `tricensus gen` outputs, with the count it prints on stderr.  The
+# enumerators list in input index order, so a change to the counting order or
+# to the output layer must leave these listings byte-identical.
 PINNED_LISTINGS = [
     (GenSpec("random", 9, seed=3), 707,
      "934ff5eccb80a23c1dc29d8e3febc2ffe422e8b07316e620151a618b0199f3f0"),
@@ -183,14 +188,56 @@ PINNED_LISTINGS = [
     (GenSpec("double_circle", 10), 1430,
      "b7ad7b3ca3d653542d53857b57a0e3d6304e7a554ad669d866ec4d0f20ab8131"),
 ]
+PINNED_FULL_LISTINGS = [
+    (GenSpec("random", 9, seed=3), 223,
+     "2ea8445f1ae8f8e703e96a54ed361aa4138a835baa5b8c27529a984ac4073e6f"),
+    (GenSpec("random", 11, seed=5), 4611,
+     "c53a0f2e40a6d32993d51a1f0e016e99996520ddca8de48103d7e3f918a4f0a1"),
+    (GenSpec("double_circle", 10), 250,
+     "e6daaf5a3ed012588b17523a374219db8e975e5b537e4d9b0b7ee29561722586"),
+]
+
+
+def _check_pinned_listing(tmp_path, capsys, spec, mode, count, digest):
+    target = tmp_path / "set.pts"
+    save_point_set(target, generate(spec))
+    assert main(["count", str(target), "--mode", mode, "--enumerate"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == f"{count}\n"
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
 
 
 @pytest.mark.parametrize("spec,count,digest", PINNED_LISTINGS,
                          ids=[spec.instance_id() for spec, _, _ in PINNED_LISTINGS])
 def test_partial_listing_is_pinned(tmp_path, capsys, spec, count, digest):
-    target = tmp_path / "set.pts"
-    save_point_set(target, generate(spec))
-    assert main(["count", str(target), "--mode", "partial", "--enumerate"]) == 0
-    captured = capsys.readouterr()
-    assert captured.err == f"{count}\n"
-    assert hashlib.sha256(captured.out.encode()).hexdigest() == digest
+    _check_pinned_listing(tmp_path, capsys, spec, "partial", count, digest)
+
+
+@pytest.mark.parametrize("spec,count,digest", PINNED_FULL_LISTINGS,
+                         ids=[spec.instance_id() for spec, _, _ in PINNED_FULL_LISTINGS])
+def test_full_listing_is_pinned(tmp_path, capsys, spec, count, digest):
+    _check_pinned_listing(tmp_path, capsys, spec, "full", count, digest)
+
+
+def _oracle_lines(tris) -> list[str]:
+    """The listing's lines with every triangle formatted anew on every line:
+    the reference for the CLI, which formats each distinct triangle once."""
+    return [" ".join(",".join(map(str, tri)) for tri in t.triangles) + "\n" for t in tris]
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=9), seed=st.integers(min_value=0, max_value=10_000),
+       mode=st.sampled_from(["full", "partial"]))
+def test_cli_listing_matches_the_per_line_formatter(n, seed, mode):
+    ps = gen_random(n, 32, seed=seed)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        target = os.path.join(tmp, "set.pts")
+        save_point_set(target, ps)
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["count", target, "--mode", mode, "--enumerate"]) == 0
+    tris = enumerate_full(ps) if mode == "full" else enumerate_partial(ps)
+    # compared as lists of lines: a failure then names the first line that
+    # differs, where a string comparison would diff the whole listing
+    assert out.getvalue().splitlines(keepends=True) == _oracle_lines(tris)
+    assert err.getvalue() == f"{len(tris)}\n"
