@@ -46,7 +46,6 @@ from .geom import (
     BOUNDARY,
     INSIDE,
     OUTSIDE,
-    Coord,
     Point,
     PointSet,
     added_point_violation,

@@ -58,17 +58,12 @@ PROJECTION_ROUNDS = 64
 
 @dataclass(frozen=True)
 class AngleFrame:
-    """An angle with its interior points sorted left to right.
-
-    ``turn`` is the orientation sign of (apex, left_arm, right_arm); it is
-    carried so that frames of either handedness work.
-    """
+    """An angle with its interior points sorted left to right."""
 
     apex: Point
     left_arm: Point
     right_arm: Point
     interior: tuple[Point, ...]
-    turn: int
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def node(self, e: int) -> Point:
@@ -110,7 +105,7 @@ def build_angle_frame(apex: Point, left_arm: Point, right_arm: Point, pts) -> An
             raise ValueError(f"{p} is not strictly inside the angle")
     # X comes before Y when the angle from the left arm at the apex is smaller
     ordered = sorted(pts, key=_angular_key(apex, s))
-    return AngleFrame(apex, left_arm, right_arm, tuple(ordered), s)
+    return AngleFrame(apex, left_arm, right_arm, tuple(ordered))
 
 
 def _angular_key(apex: Point, s: int):

@@ -12,11 +12,11 @@ import glob
 import json
 import sys
 
-from . import charvec, harness, triangulations
+from . import charvec, harness
 from .catalan import catalan, polygon_triangulation_count
 from .closeness import classify
 from .errors import SizeCapError
-from .generators import GenSpec, generate
+from .generators import FAMILIES, GenSpec, generate
 from .geom import load_point_set, save_point_set
 from .triangulations import count_full, count_partial, enumerate_full, enumerate_partial
 
@@ -34,8 +34,7 @@ def _build_parser() -> _Parser:
     sub = p.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     g = sub.add_parser("gen", help="generate a point set and write the v1 format")
-    g.add_argument("--family", required=True,
-                   choices=["convex", "double_circle", "quasi_convex", "random"])
+    g.add_argument("--family", required=True, choices=FAMILIES)
     g.add_argument("--n", type=int, required=True, help="total number of points")
     g.add_argument("--sides", default=None,
                    help="comma-separated hull side indices (quasi_convex only)")
@@ -47,8 +46,6 @@ def _build_parser() -> _Parser:
     c.add_argument("file")
     c.add_argument("--mode", choices=["full", "partial"], default="full")
     c.add_argument("--enumerate", action="store_true", dest="enumerate_all")
-    c.add_argument("--cap", type=int, default=triangulations.ENUMERATION_CAP,
-                   help="enumeration size cap")
 
     k = sub.add_parser("classify", help="quasi-convexity report for a point set")
     k.add_argument("file")
@@ -68,8 +65,7 @@ def _build_parser() -> _Parser:
     t.add_argument("--n", type=int, required=True)
 
     r = sub.add_parser("verify", help="run the extremal checks over a corpus")
-    r.add_argument("--family",
-                   choices=["convex", "double_circle", "quasi_convex", "random"])
+    r.add_argument("--family", choices=FAMILIES)
     r.add_argument("--input", help="glob of point files to verify instead of a family")
     r.add_argument("--n", type=int, default=8)
     r.add_argument("--trials", type=int, default=10)
@@ -87,13 +83,9 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_gen(args) -> int:
-    if args.sides is not None and args.family != "quasi_convex":
-        raise ValueError("--sides needs --family quasi_convex")
-    sides = _int_list(args.sides, "--sides") if args.sides else None
-    for k, j in enumerate(sides or ()):
-        _index(j, args.n - len(sides), "--sides", "side index")
-        if j in sides[:k]:
-            raise ValueError(f"--sides: side index {j} is repeated")
+    sides = None
+    if args.sides is not None:  # an empty --sides lists no side
+        sides = _int_list(args.sides, "--sides") if args.sides else ()
     spec = GenSpec(args.family, args.n, args.scale, args.seed, sides)
     ps = generate(spec)
     save_point_set(args.output, ps)
@@ -112,8 +104,7 @@ class _TriangleText(dict):
 def _cmd_count(args) -> int:
     ps = load_point_set(args.file)
     if args.enumerate_all:
-        tris = (enumerate_full(ps, args.cap) if args.mode == "full"
-                else enumerate_partial(ps, args.cap))
+        tris = enumerate_full(ps) if args.mode == "full" else enumerate_partial(ps)
         # a listing repeats at most C(n, 3) triangles: format each one once
         text = _TriangleText()
         for t in tris:
@@ -159,9 +150,9 @@ def _bit_string(text: str, flag: str) -> tuple[int, ...]:
     return tuple(map(int, text))
 
 
-def _index(value: int, n: int, flag: str, what: str = "point index") -> int:
+def _index(value: int, n: int, flag: str) -> int:
     if not 0 <= value < n:
-        raise ValueError(f"{flag}: {what} {value} is not in [0, {n})")
+        raise ValueError(f"{flag}: point index {value} is not in [0, {n})")
     return value
 
 

@@ -43,11 +43,14 @@ class SplitMix64:
         return self.next_u64() % n
 
 
+FAMILIES = ("convex", "double_circle", "quasi_convex", "random")
+
+
 @dataclass(frozen=True)
 class GenSpec:
     """Declarative description of one generated instance."""
 
-    family: str  # convex | double_circle | quasi_convex | random
+    family: str  # one of FAMILIES
     n: int
     scale: int = 64
     seed: int = 0
@@ -59,16 +62,26 @@ class GenSpec:
 
 
 def generate(spec: GenSpec) -> PointSet:
-    """The point set ``spec`` describes.  A point count below the family's
-    minimum is refused with an error that names ``--n``, the option that sets it."""
-    sides = spec.sides or ()
-    minimum = {"convex": 3, "double_circle": 6, "quasi_convex": 3 + len(sides),
-               "random": 3}.get(spec.family)
-    if minimum is None:
+    """The point set ``spec`` describes, with exactly ``spec.n`` points.  A bad
+    spec is refused with an error that names the faulty option; ``--n`` comes
+    before ``--sides``, whose index range depends on it."""
+    if spec.family not in FAMILIES:
         raise ValueError(f"unknown family {spec.family!r}")
+    sides = spec.sides or ()
+    minimum = {"double_circle": 6, "quasi_convex": 3 + len(sides)}.get(spec.family, 3)
     if spec.n < minimum:
         family = f"quasi_convex with sides {','.join(map(str, sides))}" if sides else spec.family
         raise ValueError(f"--n: {family} needs at least {minimum} points, got {spec.n}")
+    if spec.sides is not None and spec.family != "quasi_convex":
+        raise ValueError("--sides needs --family quasi_convex")
+    hull = spec.n - len(sides)
+    for k, j in enumerate(sides):
+        if not 0 <= j < hull:
+            raise ValueError(f"--sides: side index {j} is not in [0, {hull})")
+        if j in sides[:k]:
+            raise ValueError(f"--sides: side index {j} is repeated")
+    if spec.scale < 8:
+        raise ValueError(f"--scale: expected at least 8, got {spec.scale}")
     if spec.family == "convex":
         return gen_convex(spec.n, spec.scale, spec.seed)
     if spec.family == "double_circle":
@@ -76,13 +89,13 @@ def generate(spec: GenSpec) -> PointSet:
             raise ValueError(f"--n: double_circle needs an even point count, got {spec.n}")
         return gen_double_circle(spec.n // 2, spec.scale)
     if spec.family == "quasi_convex":
-        return gen_quasi_convex(spec.n - len(sides), sides, spec.scale)
+        return gen_quasi_convex(hull, sides, spec.scale)
     return gen_random(spec.n, 4 * spec.scale, spec.seed)
 
 
-def _check_sizes(n: int, scale: int, minimum: int = 3) -> None:
-    if n < minimum:
-        raise ValueError(f"need at least {minimum} points, got {n}")
+def _check_sizes(n: int, scale: int) -> None:
+    if n < 3:
+        raise ValueError(f"need at least 3 points, got {n}")
     if scale < 8:
         raise ValueError("scale must be at least 8")
 

@@ -27,8 +27,6 @@ from fractions import Fraction
 from math import gcd
 from pathlib import Path
 
-Coord = Fraction
-
 POINTS_HEADER = "# tricensus points v1"
 
 # point_in_triangle classifications
@@ -308,6 +306,5 @@ def load_point_set(path) -> PointSet:
     return PointSet.from_points(parse_points_text(Path(path).read_text()))
 
 
-def save_point_set(path, ps: PointSet | list[Point]) -> None:
-    points = ps.points if isinstance(ps, PointSet) else ps
-    Path(path).write_text(format_points(points))
+def save_point_set(path, ps: PointSet) -> None:
+    Path(path).write_text(format_points(ps.points))

@@ -308,39 +308,39 @@ def count_partial(ps: PointSet) -> int:
     return _count_region(t, boundary, inside, False, {})
 
 
-def enumerate_on_subset(ps: PointSet, vertex_subset, cap: int = ENUMERATION_CAP) -> list[Triangulation]:
-    sub = _check_subset(ps, vertex_subset)
-    if len(sub) > cap:
-        raise SizeCapError(f"enumeration refused for {len(sub)} vertices (cap {cap})")
+def _listing(ps: PointSet, interior_sets) -> list[Triangulation]:
+    """Required-mode listings of the hull plus each set of interior points, in
+    turn; refused before any table is built when ``ps`` exceeds the size cap."""
+    n = len(ps.points)
+    if n > ENUMERATION_CAP:
+        raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
     # identity order: ranks are indices, so the listed triangles need no mapping back
     t = _tables(ps, False)
-    boundary, inside = t.region(ps.hull, sub.difference(ps.hull))
-    raw = _enumerate_region(t, boundary, inside, {})
-    return [Triangulation(sub, tuple(sorted(tris))) for tris in raw]
-
-
-def enumerate_full(ps: PointSet, cap: int = ENUMERATION_CAP) -> list[Triangulation]:
-    """All full triangulations; refuses instances above the size cap."""
-    return enumerate_on_subset(ps, range(len(ps.points)), cap)
-
-
-def enumerate_partial(ps: PointSet, cap: int = ENUMERATION_CAP) -> list[Triangulation]:
-    """All partial triangulations: required-mode enumerations of the interior
-    subsets, iterated in Gray-code order."""
-    if len(ps.points) > cap:
-        raise SizeCapError(f"enumeration refused for {len(ps.points)} points (cap {cap})")
-    interior = ps.interior
-    m = len(interior)
     hull = frozenset(ps.hull)
     out: list[Triangulation] = []
-    for u in range(1 << m):
-        g = u ^ (u >> 1)
-        sub = hull | {interior[t] for t in range(m) if (g >> t) & 1}
-        out.extend(enumerate_on_subset(ps, sub, cap))
+    for extra in interior_sets:
+        boundary, inside = t.region(ps.hull, extra)
+        sub = hull | extra
+        out.extend(Triangulation(sub, tuple(sorted(tris)))
+                   for tris in _enumerate_region(t, boundary, inside, {}))
     return out
 
 
-def brute_force_count(ps: PointSet, vertex_subset=None, cap: int = BRUTE_FORCE_CAP) -> int:
+def enumerate_full(ps: PointSet) -> list[Triangulation]:
+    """All full triangulations; refuses sets above the size cap."""
+    return _listing(ps, [frozenset(ps.interior)])
+
+
+def enumerate_partial(ps: PointSet) -> list[Triangulation]:
+    """All partial triangulations: required-mode listings of the interior
+    subsets, iterated in Gray-code order; refuses sets above the size cap."""
+    interior = ps.interior
+    m = len(interior)
+    gray = (u ^ u >> 1 for u in range(1 << m))
+    return _listing(ps, (frozenset(interior[k] for k in range(m) if g >> k & 1) for g in gray))
+
+
+def brute_force_count(ps: PointSet, vertex_subset=None) -> int:
     """Independent oracle: count maximal non-crossing edge sets on the vertices.
 
     Backtracks over the lexicographic edge list.  A skipped edge must be
@@ -350,8 +350,8 @@ def brute_force_count(ps: PointSet, vertex_subset=None, cap: int = BRUTE_FORCE_C
     if vertex_subset is None:
         vertex_subset = range(len(ps.points))
     sub = _check_subset(ps, vertex_subset)
-    if len(sub) > cap:
-        raise SizeCapError(f"brute force refused for {len(sub)} vertices (cap {cap})")
+    if len(sub) > BRUTE_FORCE_CAP:
+        raise SizeCapError(f"brute force refused for {len(sub)} vertices (cap {BRUTE_FORCE_CAP})")
     verts = sorted(sub)
     h = len(ps.hull)
     target = 3 * (len(verts) - h) + 2 * h - 3

@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.closeness import classify, is_close
 from tricensus.generators import (
+    FAMILIES,
     GenSpec,
     SplitMix64,
     gen_angle_frame,
@@ -125,6 +127,33 @@ def test_generate_dispatch():
         generate(GenSpec("double_circle", 7))
     with pytest.raises(ValueError):
         generate(GenSpec("mystery", 5))
+
+
+@settings(max_examples=300, deadline=None)
+@given(family=st.sampled_from(FAMILIES), n=st.integers(0, 12),
+       sides=st.none() | st.lists(st.integers(-1, 8), max_size=4).map(tuple),
+       scale=st.integers(0, 16))
+def test_generate_returns_n_points_or_names_the_faulty_option(family, n, sides, scale):
+    spec = GenSpec(family, n, scale, sides=sides)
+    try:
+        ps = generate(spec)
+    except ValueError as exc:
+        assert str(exc).startswith(("--n:", "--sides", "--scale:")), str(exc)
+    else:
+        assert len(ps.points) == n
+
+
+def test_generate_refuses_repeated_sides():
+    with pytest.raises(ValueError) as exc:
+        generate(GenSpec("quasi_convex", 8, sides=(1, 1)))
+    assert str(exc.value) == "--sides: side index 1 is repeated"
+
+
+def test_generate_refuses_scale_below_8_in_every_family():
+    for family in FAMILIES:
+        with pytest.raises(ValueError) as exc:
+            generate(GenSpec(family, 6, 4))
+        assert str(exc.value) == "--scale: expected at least 8, got 4"
 
 
 def test_frame_generators_are_valid_and_seeded():

@@ -291,6 +291,27 @@ def test_cli_rejects_too_few_points(tmp_path, capsys, argv, problem):
     assert not target.exists()
 
 
+def test_cli_gen_checks_n_before_sides(tmp_path, capsys):
+    target = tmp_path / "out.pts"
+    assert main(["gen", "--family", "quasi_convex", "--n", "4", "--sides", "0,1,2",
+                 "-o", str(target)]) == 1
+    assert capsys.readouterr().err == (
+        "tricensus: error: --n: quasi_convex with sides 0,1,2 needs at least 6 points, got 4\n")
+    assert not target.exists()
+
+
+@pytest.mark.parametrize("family", ["convex", "double_circle", "quasi_convex", "random"])
+@pytest.mark.parametrize("command", ["gen", "verify"])
+def test_cli_refuses_scale_below_8(tmp_path, capsys, command, family):
+    target = tmp_path / "out"
+    extra = ["-o", str(target)] if command == "gen" else ["--report", str(target)]
+    assert main([command, "--family", family, "--n", "8", "--scale", "4"] + extra) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "tricensus: error: --scale: expected at least 8, got 4\n"
+    assert captured.out == ""
+    assert not target.exists()
+
+
 def test_cli_verify_exit_codes(tmp_path, capsys):
     report = tmp_path / "out.jsonl"
     code = main(["verify", "--family", "convex", "--n", "6", "--trials", "2",

@@ -68,9 +68,42 @@ def test_enumerate_full_examples():
 
 
 def test_enumerate_full_respects_cap():
-    ps = gen_convex(8, 64, seed=1)
+    ps = gen_convex(15, 64, seed=1)
     with pytest.raises(SizeCapError):
-        enumerate_full(ps, cap=7)
+        enumerate_full(ps)
+
+
+@pytest.mark.parametrize("ps", [gen_convex(15, 64, seed=1), gen_random(15, 256, 1)],
+                         ids=["convex15", "random15"])
+def test_enumeration_cap_is_decided_before_any_work(ps):
+    for enumerate_all in (enumerate_full, enumerate_partial):
+        with pytest.raises(SizeCapError) as refused:
+            enumerate_all(ps)
+        assert str(refused.value) == "enumeration refused for 15 points (cap 14)"
+    # neither the orientation table nor the listing's region tables were built
+    assert "orient" not in ps._cache
+    assert "regions_by_index" not in ps._cache
+
+
+def test_cli_count_enumerate_refuses_above_the_cap(tmp_path, capsys):
+    target = tmp_path / "random15.pts"
+    save_point_set(target, gen_random(15, 256, 1))
+    for mode in ("full", "partial"):
+        assert main(["count", str(target), "--mode", mode, "--enumerate"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == "tricensus: refused: enumeration refused for 15 points (cap 14)\n"
+        assert captured.out == ""
+
+
+def test_cli_count_has_no_cap_option(tmp_path, capsys):
+    target = tmp_path / "random15.pts"
+    save_point_set(target, gen_random(15, 256, 1))
+    with pytest.raises(SystemExit) as exc:
+        main(["count", str(target), "--mode", "partial", "--enumerate", "--cap", "20"])
+    assert exc.value.code == 1
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --cap 20" in captured.err
+    assert captured.out == ""
 
 
 def test_brute_force_examples():
