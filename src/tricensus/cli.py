@@ -159,21 +159,25 @@ def _index(value: int, n: int, flag: str) -> int:
 def _cmd_charvec(args) -> int:
     ps = load_point_set(args.file)
     pts = ps.points
+    file_index = {p: i for i, p in enumerate(pts)}  # frames reorder their points
     if args.radial:
         if args.center is None:
             raise ValueError("--radial needs --center")
         center = _index(args.center, len(pts), "--center")
-        others = [pts[i] for i in range(len(pts)) if i != center]
-        frame = charvec.build_radial_frame(pts[center], others)
+        frame = charvec.build_radial_frame(pts[center], pts[:center] + pts[center + 1:])
+
+        def polygon(poly) -> tuple[int, ...]:
+            return tuple(file_index[frame.points[k]] for k in poly)
+
         if args.check_psi:
             collision = charvec.find_charvec_collision(frame)
             if collision is None:
                 print(f"injective over {len(charvec.enumerate_good_polygons(frame))} good polygons")
                 return 0
-            print(f"collision: {collision[0]} and {collision[1]}")
+            print(f"collision: {polygon(collision[0])} and {polygon(collision[1])}")
             return 2
         for poly in charvec.enumerate_good_polygons(frame):
-            print(" ".join(map(str, poly)))
+            print(" ".join(map(str, polygon(poly))))
         return 0
     if args.apex is None or args.arms is None or args.chi is None:
         raise ValueError("angle mode needs --apex, --arms and --chi")
@@ -182,16 +186,17 @@ def _cmd_charvec(args) -> int:
     if len(arms) != 2:
         raise ValueError(f"--arms: expected two point indices, got {args.arms!r}")
     left, right = (_index(i, len(pts), "--arms") for i in arms)
+    for i in (left, right):
+        if (apex, left, right).count(i) > 1:
+            raise ValueError(f"--arms: point index {i} is repeated among --apex and --arms")
     bits = _bit_string(args.chi, "--chi")
-    rest = [i for i in range(len(pts)) if i not in (apex, left, right)]
-    frame = charvec.build_angle_frame(pts[apex], pts[left], pts[right],
-                                      [pts[i] for i in rest])
+    rest = [p for i, p in enumerate(pts) if i not in (apex, left, right)]
+    frame = charvec.build_angle_frame(pts[apex], pts[left], pts[right], rest)
     n = len(frame.interior)
     if len(bits) != n:
         raise ValueError(f"--chi: expected a 0/1 string of length {n}, got {args.chi!r}")
     polyline = charvec.polyline_from_charvec(frame, bits)
-    by_point = {pts[i]: i for i in rest}
-    internal = [by_point[frame.interior[k]] for k in polyline]
+    internal = [file_index[frame.interior[k]] for k in polyline]
     print(" ".join(map(str, [left] + internal + [right])))
     return 0
 

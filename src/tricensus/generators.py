@@ -21,6 +21,7 @@ from .charvec import AngleFrame, RadialFrame, build_angle_frame, build_radial_fr
 
 _MASK64 = (1 << 64) - 1
 _FAMILY_SEED = 11  # internal seed for the deterministic (seedless) families
+_FRAME_SCALE = 64  # half-width of the box the frame generators draw from
 
 
 class SplitMix64:
@@ -135,20 +136,20 @@ def _clear_denominators(pts: list[Point]) -> list[Point]:
     return [Point(p.x * lcm, p.y * lcm) for p in pts]
 
 
-def _ring_with_close_points(m: int, wanted_sides, scale: int) -> PointSet | None:
-    """Seedless convex m-gon plus one certified-close point per selected side, or None.
+def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
+    """Seedless convex m-gon plus one certified-close point on each of the
+    ascending ``sides``.
 
     Points start near the side midpoints, offset inward; the offset shrinks,
     and then the ring's scale doubles, until every closeness certificate
     holds.  Coordinates are cleared to integers before the final certification.
     """
-    wanted = sorted(wanted_sides)
     for doubling in range(8):
         ring = list(gen_convex(m, scale << doubling, _FAMILY_SEED).points)
         for shrink in range(48):
             lam = Fraction(1, 16 * (1 << shrink))
             pts = list(ring)
-            for j in wanted:
+            for j in sides:
                 q = ring[j]
                 r = ring[(j + 1) % m]
                 # midpoint pulled inward along the left (interior) normal
@@ -161,34 +162,27 @@ def _ring_with_close_points(m: int, wanted_sides, scale: int) -> PointSet | None
                 continue
             if set(ps.hull) != set(range(m)):
                 continue
-            if all(is_close(ps, m + pos, (j, (j + 1) % m)) for pos, j in enumerate(wanted)):
+            if all(is_close(ps, m + pos, (j, (j + 1) % m)) for pos, j in enumerate(sides)):
                 return ps
-    return None
+    raise ConstructionError(
+        f"no close points on sides {tuple(sides)} of a {m}-gon at scale {scale}")
 
 
 def gen_double_circle(m: int, scale: int = 64) -> PointSet:
     """Convex m-gon plus one certified-close interior point per side (n = 2m)."""
-    _check_sizes(m, scale)
-    ps = _ring_with_close_points(m, range(m), scale)
-    if ps is None:
-        raise ConstructionError(f"double circle with m={m} unobtainable at scale {scale}")
-    return ps
+    return _ring_with_close_points(m, range(m), scale)
 
 
 def gen_quasi_convex(n_hull: int, sides, scale: int = 64) -> PointSet:
     """Convex hull plus certified-close points on the selected ring sides."""
     _check_sizes(n_hull, scale)
-    sides = tuple(sorted(set(sides)))
-    for j in sides:
+    sides = sorted(sides)
+    for k, j in enumerate(sides):
         if not 0 <= j < n_hull:
             raise ValueError(f"side index {j} is not in [0, {n_hull})")
-    if not sides:
-        return gen_convex(n_hull, scale, _FAMILY_SEED)
-    ps = _ring_with_close_points(n_hull, sides, scale)
-    if ps is None:
-        raise ConstructionError(
-            f"quasi-convex set with hull {n_hull} and sides {sides} unobtainable at scale {scale}")
-    return ps
+        if k and j == sides[k - 1]:
+            raise ValueError(f"side index {j} is repeated")
+    return _ring_with_close_points(n_hull, sides, scale)
 
 
 def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
@@ -212,17 +206,16 @@ def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
     return PointSet.from_points(pts)
 
 
-def gen_angle_frame(n: int, scale: int = 64, seed: int = 0) -> AngleFrame:
+def gen_angle_frame(n: int, seed: int = 0) -> AngleFrame:
     """Seeded frame: fixed arms, n random integer points strictly inside the angle."""
-    if scale < 8:
-        raise ValueError("scale must be at least 8")
     rng = SplitMix64(seed)
-    apex = Point(0, scale)
-    left = Point(-scale, 0)
-    right = Point(scale, 0)
+    apex = Point(0, _FRAME_SCALE)
+    left = Point(-_FRAME_SCALE, 0)
+    right = Point(_FRAME_SCALE, 0)
     pts: list[Point] = []
     while len(pts) < n:
-        cand = Point(rng.below(2 * scale - 1) - (scale - 1), rng.below(2 * scale) - scale + 1)
+        cand = Point(rng.below(2 * _FRAME_SCALE - 1) - (_FRAME_SCALE - 1),
+                     rng.below(2 * _FRAME_SCALE) - _FRAME_SCALE + 1)
         s = orient(apex, left, right)
         if orient(apex, left, cand) != s or orient(apex, right, cand) != -s:
             continue
@@ -231,15 +224,14 @@ def gen_angle_frame(n: int, scale: int = 64, seed: int = 0) -> AngleFrame:
     return build_angle_frame(apex, left, right, pts)
 
 
-def gen_radial_frame(n: int, scale: int = 64, seed: int = 0) -> RadialFrame:
+def gen_radial_frame(n: int, seed: int = 0) -> RadialFrame:
     """Seeded frame: center at the origin, n random integer points around it."""
-    if scale < 8:
-        raise ValueError("scale must be at least 8")
     rng = SplitMix64(seed)
     center = Point(0, 0)
     pts: list[Point] = []
     while len(pts) < n:
-        cand = Point(rng.below(2 * scale + 1) - scale, rng.below(2 * scale + 1) - scale)
+        cand = Point(rng.below(2 * _FRAME_SCALE + 1) - _FRAME_SCALE,
+                     rng.below(2 * _FRAME_SCALE + 1) - _FRAME_SCALE)
         if added_point_violation([center, *pts], cand) is None:
             pts.append(cand)
     return build_radial_frame(center, pts)

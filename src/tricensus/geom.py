@@ -22,6 +22,7 @@ The module also owns the "tricensus points v1" text format::
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -267,13 +268,14 @@ class PointSet:
 # "tricensus points v1" text format
 # ---------------------------------------------------------------------------
 
+# a coordinate is an integer or p/q with q > 0, in ASCII digits
+_COORD = re.compile(r"[-+]?[0-9]+(?:/0*[1-9][0-9]*)?")
+
+
 def _parse_coord(token: str) -> Fraction:
-    if "." in token:
-        raise ValueError(f"decimal fractions are not allowed, use p/q: {token!r}")
-    try:
-        return Fraction(token)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise ValueError(f"bad coordinate {token!r}") from exc
+    if not _COORD.fullmatch(token):
+        raise ValueError(f"bad coordinate {token!r}: expected an integer or p/q with q > 0")
+    return Fraction(token)
 
 
 def parse_points_text(text: str) -> list[Point]:

@@ -132,8 +132,8 @@ class CorpusReport:
 def build_corpus(cfg: RunConfig) -> list[tuple[str, GenSpec]]:
     """Expand a run configuration into (instance_id, spec) pairs."""
     specs: list[GenSpec] = []
-    if cfg.family == "convex":
-        specs = [GenSpec("convex", cfg.n, cfg.scale, cfg.seed + t) for t in range(cfg.trials)]
+    if cfg.family in ("convex", "random"):
+        specs = [GenSpec(cfg.family, cfg.n, cfg.scale, cfg.seed + t) for t in range(cfg.trials)]
     elif cfg.family == "double_circle":
         specs = [GenSpec("double_circle", cfg.n, cfg.scale)]
     elif cfg.family == "quasi_convex":
@@ -147,8 +147,6 @@ def build_corpus(cfg: RunConfig) -> list[tuple[str, GenSpec]]:
             while len(sides) < k:
                 sides.add(rng.below(hull))
             specs.append(GenSpec("quasi_convex", cfg.n, cfg.scale, sides=tuple(sorted(sides))))
-    elif cfg.family == "random":
-        specs = [GenSpec("random", cfg.n, cfg.scale, cfg.seed + t) for t in range(cfg.trials)]
     elif cfg.family is not None:
         raise ValueError(f"unknown family {cfg.family!r}")
     return [(f"{spec.instance_id()}-t{t:04d}", spec) for t, spec in enumerate(specs)]
@@ -166,11 +164,11 @@ def run_suite_checks(seed: int) -> dict[str, bool]:
             break
 
     bijection = all(
-        charvec.frame_bijection_holds(generators.gen_angle_frame(k % 8, 64, seed + k))
+        charvec.frame_bijection_holds(generators.gen_angle_frame(k % 8, seed + k))
         for k in range(12))
 
     injective = all(
-        charvec.find_charvec_collision(generators.gen_radial_frame(3 + k % 5, 64, seed + k)) is None
+        charvec.find_charvec_collision(generators.gen_radial_frame(3 + k % 5, seed + k)) is None
         for k in range(12))
 
     return {

@@ -219,7 +219,7 @@ def test_criterion_07_charvec_bijection():
     vectors = 0
     for k in range(110):
         n = k % 11
-        frame = gen_angle_frame(n, 64, seed=40_000 + k)
+        frame = gen_angle_frame(n, seed=40_000 + k)
         assert frame_bijection_holds(frame), f"seed {40_000 + k}"
         frames += 1
         vectors += 2 ** n
@@ -232,7 +232,7 @@ def test_criterion_07_charvec_bijection():
 def test_criterion_08_polygon_charvec_suite():
     frames = 0
     for k in range(110):
-        frame = gen_radial_frame(3 + k % 6, 64, seed=50_000 + k)
+        frame = gen_radial_frame(3 + k % 6, seed=50_000 + k)
         assert find_charvec_collision(frame) is None, f"seed {50_000 + k}"
         frames += 1
     assert frames >= 100
@@ -240,7 +240,7 @@ def test_criterion_08_polygon_charvec_suite():
     rng = SplitMix64(99)
     moved = 0
     for k in range(15):
-        frame = gen_radial_frame(3 + k % 5, 64, seed=60_000 + k)
+        frame = gen_radial_frame(3 + k % 5, seed=60_000 + k)
         moves = 0
         while moves < 10:
             i = rng.below(len(frame.points))

@@ -65,18 +65,18 @@ def test_charvec_single_point_beyond_arm_chord():
 
 def test_polyline_count_is_two_to_the_n():
     for n in list(range(8)) + [12]:
-        frame = gen_angle_frame(n, 64, seed=n)
+        frame = gen_angle_frame(n, seed=n)
         assert sum(1 for _ in all_polylines(frame)) == 2 ** n
 
 
 def test_round_trips_on_seeded_frames():
     for k in range(12):
-        frame = gen_angle_frame(k % 9, 64, seed=60 + k)
+        frame = gen_angle_frame(k % 9, seed=60 + k)
         assert frame_bijection_holds(frame)
 
 
 def test_polyline_charvec_rejects_bad_polyline():
-    frame = gen_angle_frame(3, 64, seed=4)
+    frame = gen_angle_frame(3, seed=4)
     with pytest.raises(ValueError):
         polyline_charvec(frame, (2, 1))
     with pytest.raises(ValueError):
@@ -144,24 +144,24 @@ def test_polygon_charvec_rejects_bad_polygon():
 
 def test_psi_injectivity_on_seeded_frames():
     for k in range(16):
-        frame = gen_radial_frame(3 + k % 6, 64, seed=300 + k)
+        frame = gen_radial_frame(3 + k % 6, seed=300 + k)
         assert find_charvec_collision(frame) is None
 
 
 def test_good_polygon_enumeration_cap():
-    frame = gen_radial_frame(11, 64, seed=1)
+    frame = gen_radial_frame(11, seed=1)
     with pytest.raises(SizeCapError):
         enumerate_good_polygons(frame)
 
 
 def test_ray_move_identity():
-    frame = gen_radial_frame(5, 64, seed=8)
+    frame = gen_radial_frame(5, seed=8)
     assert ray_move_preserves_image(frame, 2, 1)
 
 
 def test_ray_move_invariance_random_moves():
     for k in range(6):
-        frame = gen_radial_frame(5, 64, seed=500 + k)
+        frame = gen_radial_frame(5, seed=500 + k)
         for i in range(5):
             for t in (F(1, 3), 2, F(7, 2)):
                 try:
@@ -171,7 +171,7 @@ def test_ray_move_invariance_random_moves():
 
 
 def test_ray_move_rejects_nonpositive_parameter():
-    frame = gen_radial_frame(4, 64, seed=2)
+    frame = gen_radial_frame(4, seed=2)
     with pytest.raises(ValueError):
         move_along_ray(frame, 0, 0)
 

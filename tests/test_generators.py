@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -15,7 +17,13 @@ from tricensus.generators import (
     gen_random,
     generate,
 )
-from tricensus.geom import Point, general_position_violation, in_convex_position, orient
+from tricensus.geom import (
+    Point,
+    format_points,
+    general_position_violation,
+    in_convex_position,
+    orient,
+)
 from tricensus.triangulations import count_partial
 
 
@@ -79,6 +87,36 @@ def test_gen_quasi_convex_examples():
 def test_gen_quasi_convex_validates_sides():
     with pytest.raises(ValueError):
         gen_quasi_convex(5, [5])
+
+
+def test_gen_quasi_convex_refuses_repeated_sides():
+    with pytest.raises(ValueError) as exc:
+        gen_quasi_convex(5, [1, 1])
+    assert str(exc.value) == "side index 1 is repeated"
+    with pytest.raises(ValueError) as exc:
+        gen_quasi_convex(7, [5, 0, 5])
+    assert str(exc.value) == "side index 5 is repeated"
+
+
+# sha256 of format_points for the ring families, as first generated; every
+# corpus and perfbench/golden.json depends on these points staying the same
+RING_DIGESTS = {
+    (3, None): "40e7cb41d3ff4428d0d89206acf2ee60e57957f19fa4c7cb21e4a04251e9e3a1",
+    (4, None): "6f6eaa49d69b131e65a62b140003ca972beedbea3b923357f5626f401f2deb6d",
+    (5, None): "36f78a6af7500c80c0321234e42b8bd2bba13712a0a76698c4af0b8242ce6ad0",
+    (6, None): "602c780d6f475cf73f3e144e3b62208fc744e853be465119a5fb6c84db0dba3f",
+    (7, None): "82852d48920c09cb4891e8532829dcf7726a2a8feb6d26f14b6267265f7cc240",
+    (8, None): "773146ff2715f922c9aa89558ac8eb33548ba1bd5038ced758022fb0ee95de3c",
+    (7, (0, 2, 5)): "f495b070393700a0ab545e167748925f5af51a6e31e7a9dca2a65dedec0e4678",
+    (6, ()): "5f8301875832183a00f555bd1e92d516b01bbbcbac7c814b165f948dfee62d4f",
+}
+
+
+@pytest.mark.parametrize("hull, sides", list(RING_DIGESTS), ids=str)
+def test_ring_family_points_are_pinned(hull, sides):
+    ps = gen_double_circle(hull) if sides is None else gen_quasi_convex(hull, sides)
+    digest = hashlib.sha256(format_points(ps.points).encode()).hexdigest()
+    assert digest == RING_DIGESTS[hull, sides]
 
 
 def test_gen_random_general_position_and_seeding():
@@ -157,12 +195,12 @@ def test_generate_refuses_scale_below_8_in_every_family():
 
 
 def test_frame_generators_are_valid_and_seeded():
-    fr = gen_angle_frame(6, 64, seed=4)
+    fr = gen_angle_frame(6, seed=4)
     assert len(fr.interior) == 6
-    assert gen_angle_frame(6, 64, seed=4).interior == fr.interior
-    rf = gen_radial_frame(6, 64, seed=4)
+    assert gen_angle_frame(6, seed=4).interior == fr.interior
+    rf = gen_radial_frame(6, seed=4)
     assert len(rf.points) == 6
-    assert gen_radial_frame(6, 64, seed=4).points == rf.points
+    assert gen_radial_frame(6, seed=4).points == rf.points
 
 
 def test_scale_validation():

@@ -266,9 +266,16 @@ def test_convex_hull_permutation_invariant(pts, rnd):
 # -- text format ------------------------------------------------------------
 
 def test_parse_points_text():
-    text = "# tricensus points v1\n0 0\n4 0   # a corner\n\n1/2 9/20\n"
+    text = "# tricensus points v1\n0 0\n4 0   # a corner\n\n1/2 9/20\n-7 +3\n-6/4 012/05\n"
     pts = parse_points_text(text)
-    assert pts == [P(0, 0), P(4, 0), P(Fraction(1, 2), Fraction(9, 20))]
+    assert pts == [P(0, 0), P(4, 0), P(Fraction(1, 2), Fraction(9, 20)), P(-7, 3),
+                   P(Fraction(-3, 2), Fraction(12, 5))]
+    # the v1 grammar is an integer or p/q with q > 0, in ASCII digits, and nothing else
+    for token in ("1e-3", "1E3", "1_0", "0.5", "1/0", "1/00", "1/-4", "1/+4", "-1/2/3",
+                  "1/", "/2", "--1", "+-1", "0x10", "inf", "nan", "\u0663", "1/2e1"):
+        with pytest.raises(ValueError) as exc:
+            parse_points_text(f"# tricensus points v1\n{token} 0\n")
+        assert str(exc.value) == f"bad coordinate {token!r}: expected an integer or p/q with q > 0"
 
 
 def test_parse_rejects_missing_header_and_bad_tokens():

@@ -4,6 +4,7 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tricensus import charvec
 from tricensus.cli import main
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
 from tricensus.geom import PointSet, save_point_set
@@ -197,6 +198,33 @@ def test_cli_charvec_radial(tmp_path, capsys):
     save_point_set(target, PointSet.from_coords([(0, 0), (2, 1), (-3, 2), (1, -3)]))
     assert main(["charvec", str(target), "--radial", "--center", "0", "--check-psi"]) == 0
     assert "injective" in capsys.readouterr().out
+
+
+def test_cli_charvec_radial_prints_file_indices(tmp_path, capsys, monkeypatch):
+    # the frame sorts the points ccw from the reference direction (0, -1): file
+    # points 4, 1, 2, 3 are frame positions 0, 1, 2, 3
+    target = tmp_path / "radial.pts"
+    save_point_set(target, PointSet.from_coords([(0, 0), (5, 1), (-1, 6), (-6, -1), (3, -5)]))
+    assert main(["charvec", str(target), "--radial", "--center", "0"]) == 0
+    assert capsys.readouterr().out == "4 1 3\n4 2 3\n4 1 2 3\n"
+    save_point_set(target, PointSet.from_coords([(5, 1), (-1, 6), (0, 0), (-6, -1), (3, -5)]))
+    assert main(["charvec", str(target), "--radial", "--center", "2"]) == 0
+    assert capsys.readouterr().out == "4 0 3\n4 1 3\n4 0 1 3\n"
+    # no frame has a collision, so a made-up one (in frame positions) checks the mapping
+    monkeypatch.setattr(charvec, "find_charvec_collision", lambda frame: ((0, 1, 3), (0, 2, 3)))
+    assert main(["charvec", str(target), "--radial", "--center", "2", "--check-psi"]) == 2
+    assert capsys.readouterr().out == "collision: (4, 0, 3) and (4, 1, 3)\n"
+
+
+def test_cli_charvec_rejects_repeated_apex_or_arms(tmp_path, capsys):
+    target = tmp_path / "frame.pts"
+    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    for arms, repeated in (("1,1", 1), ("0,2", 0), ("2,0", 0), ("0,0", 0)):
+        assert main(["charvec", str(target), "--apex", "0", "--arms", arms, "--chi", "1"]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"tricensus: error: --arms: point index {repeated} "
+                                "is repeated among --apex and --arms\n")
+        assert captured.out == ""
 
 
 def test_cli_charvec_rejects_indices_out_of_range(tmp_path, capsys):
