@@ -8,6 +8,7 @@ Exit codes: 0 when every mathematical check passed, 2 when a check failed
 from __future__ import annotations
 
 import argparse
+import functools
 import glob
 import json
 import sys
@@ -27,6 +28,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache  # parsing leaves the parser as it was, so one serves every main() call
 def _build_parser() -> _Parser:
     p = _Parser(prog="tricensus",
                 description="Exact triangulation counts, quasi-convexity and "
@@ -170,9 +172,13 @@ def _cmd_charvec(args) -> int:
             return tuple(file_index[frame.points[k]] for k in poly)
 
         if args.check_psi:
+            good = charvec.enumerate_good_polygons(frame)
+            if not good:  # a check over no polygon would pass without checking anything
+                raise ValueError(f"--center: no good polygon wraps point {center}, "
+                                 "so --check-psi has nothing to check")
             collision = charvec.find_charvec_collision(frame)
             if collision is None:
-                print(f"injective over {len(charvec.enumerate_good_polygons(frame))} good polygons")
+                print(f"injective over {len(good)} good polygons")
                 return 0
             print(f"collision: {polygon(collision[0])} and {polygon(collision[1])}")
             return 2

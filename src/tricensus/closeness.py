@@ -9,14 +9,22 @@ point between the endpoints of its side.
 
 Every other point lies left of a ccw hull side q -> r, so interior p is
 inside the triangle (q, r, a) exactly when p is left of r -> a and of a -> q:
-two orientation signs per apex.
+two orientation signs per apex, taken as integer cross products on the
+set's exact integer view ``ps.xy``.
+
+Since p is left of a -> q exactly when a is left of q -> p, a point p close
+to q -> r has every point other than q, r and p left of the ray q -> p: it
+is the extreme point seen from q, the one whose ray turns least from q -> r.
+:func:`classify` finds that one candidate per side with an O(n) scan and
+confirms it with :func:`find_blocking_apex`, so a set costs at most one
+confirmation per hull side.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import INSIDE, PointSet, orient, point_in_triangle
+from .geom import INSIDE, PointSet, point_in_triangle
 
 
 def _side_or_raise(ps: PointSet, side) -> tuple[int, int]:
@@ -37,10 +45,12 @@ def find_blocking_apex(ps: PointSet, p: int, side) -> int | None:
     if p not in ps.interior:
         raise ValueError(f"point {p} is not interior")
     q, r = _side_or_raise(ps, side)
-    pts = ps.points
-    target, qp, rp = pts[p], pts[q], pts[r]
-    for apex, a in enumerate(pts):
-        if apex not in (p, q, r) and (orient(rp, a, target) != 1 or orient(a, qp, target) != 1):
+    xy = ps.xy
+    (px, py), (qx, qy), (rx, ry) = xy[p], xy[q], xy[r]
+    for apex, (ax, ay) in enumerate(xy):
+        # p must be strictly left of r -> a and of a -> q
+        if apex not in (p, q, r) and ((ax - rx) * (py - ry) <= (ay - ry) * (px - rx)
+                                      or (qx - ax) * (py - ay) <= (qy - ay) * (px - ax)):
             return apex
     return None
 
@@ -60,21 +70,30 @@ def classify(ps: PointSet) -> QuasiConvexReport:
     """Assign each interior point its first close hull side and assemble the report.
 
     When the set is quasi-convex the report carries the quasi-convex polygon
-    order; sides are tried in hull order, and the assignment is collision-free
-    because no side admits two close points.
+    order.  Sides are taken in hull order, and each side's one candidate is
+    confirmed only while it is unassigned, so every point gets its first
+    close side.
     """
     sides = ps.hull_sides()
-    assignment: dict[int, tuple[int, int]] = {}
-    for p in ps.interior:
-        for side in sides:
-            if find_blocking_apex(ps, p, side) is None:
-                assignment[p] = side
-                break
-
+    hull, xy = ps.hull, ps.xy
+    inner = [(i, *xy[i]) for i in ps.interior]
+    found: dict[int, tuple[int, int]] = {}
     by_side: dict[tuple[int, int], int] = {}
-    for p, side in assignment.items():
-        assert side not in by_side, f"two points close to side {side}"
-        by_side[side] = p
+    for j, side in enumerate(sides):
+        q, r = side
+        qx, qy = xy[q]
+        # Seen from q the hull vertices turn ccw in hull order from r, so the
+        # vertex after r is the only one that can turn less than an interior point.
+        after = hull[(j + 2) % len(hull)]
+        best = after
+        bx, by = xy[after]
+        for i, x, y in inner:
+            if (bx - qx) * (y - qy) < (by - qy) * (x - qx):  # i is right of q -> best
+                best, bx, by = i, x, y
+        if best != after and best not in found and find_blocking_apex(ps, best, side) is None:
+            found[best] = side
+            by_side[side] = best
+    assignment = dict(sorted(found.items()))
 
     quasi = len(assignment) == len(ps.interior)
     order = None

@@ -10,6 +10,15 @@ new point against points already in general position; all callers use it.
 It decides general position by hashing the exact reduced integer direction
 from the new point to each other point, so a whole set takes O(n^2).
 
+Past that check, predicates run on one exact integer view of the points,
+:func:`integer_view`: every coordinate times the lcm of all denominators.
+A positive scale keeps every orientation sign and the (x, y) order, so a
+cross product of integer pairs decides what :func:`orient` decides on
+``Fraction`` points, several times faster; integer inputs stay as they are.
+Each :class:`PointSet` carries its view as ``xy`` (O(n) memory), and
+:func:`convex_hull`, :meth:`PointSet.orient_table` and the closeness
+routines read it.  :func:`orient` itself stays for loose points.
+
 The module also owns the "tricensus points v1" text format::
 
     # tricensus points v1
@@ -25,7 +34,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from pathlib import Path
 
 POINTS_HEADER = "# tricensus points v1"
@@ -116,6 +125,19 @@ def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
     return o1 * o2 < 0 and o3 * o4 < 0
 
 
+def integer_view(points) -> tuple[tuple[int, int], ...]:
+    """The points as integer pairs: every coordinate times the lcm of all denominators.
+
+    The scale is positive, so orientation signs, equality and the (x, y)
+    order of the points are those of the rationals.
+    """
+    scale = lcm(*{c.denominator for p in points for c in (p.x, p.y)})
+    if scale == 1:
+        return tuple((p.x.numerator, p.y.numerator) for p in points)
+    return tuple((p.x.numerator * (scale // p.x.denominator),
+                  p.y.numerator * (scale // p.y.denominator)) for p in points)
+
+
 def convex_hull(points: list[Point] | tuple[Point, ...]) -> list[int]:
     """Counter-clockwise hull cycle as indices, starting at the lexicographically smallest point.
 
@@ -125,15 +147,20 @@ def convex_hull(points: list[Point] | tuple[Point, ...]) -> list[int]:
     """
     if len(points) < 3:
         raise ValueError("convex hull needs at least 3 points")
-    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+    xy = integer_view(points)
+    order = sorted(range(len(xy)), key=xy.__getitem__)
     for s, t in zip(order, order[1:]):
-        if points[s] == points[t]:
+        if xy[s] == xy[t]:
             raise ValueError(f"duplicate point at indices {s} and {t}")
 
     def chain(idx_iter):
         out: list[int] = []
         for i in idx_iter:
-            while len(out) >= 2 and orient(points[out[-2]], points[out[-1]], points[i]) <= 0:
+            x, y = xy[i]
+            while len(out) >= 2:
+                (ax, ay), (bx, by) = xy[out[-2]], xy[out[-1]]
+                if (bx - ax) * (y - ay) - (by - ay) * (x - ax) > 0:
+                    break
                 out.pop()
             out.append(i)
         return out
@@ -208,15 +235,20 @@ class PointSet:
     """A labeled point set in general position with its hull/interior split.
 
     ``hull`` traces the convex hull counter-clockwise; ``interior`` holds the
-    remaining indices in increasing order.  Build through :meth:`from_points`
-    to get the general-position validation; the raw constructor trusts its
-    caller.
+    remaining indices in increasing order; ``xy`` is the points'
+    :func:`integer_view`, built with the set.  Build through
+    :meth:`from_points` to get the general-position validation; the raw
+    constructor trusts its caller.
     """
 
     points: tuple[Point, ...]
     hull: tuple[int, ...]
     interior: tuple[int, ...]
+    xy: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "xy", integer_view(self.points))
 
     @classmethod
     def from_points(cls, points) -> "PointSet":
@@ -247,13 +279,16 @@ class PointSet:
         """n x n x n table of orientation signs, built on first use."""
         tab = self._cache.get("orient")
         if tab is None:
-            pts = self.points
-            n = len(pts)
+            xy = self.xy
+            n = len(xy)
             tab = [[[0] * n for _ in range(n)] for _ in range(n)]
             for i in range(n):
+                xi, yi = xy[i]
                 for j in range(i + 1, n):
+                    dx, dy = xy[j][0] - xi, xy[j][1] - yi
                     for k in range(j + 1, n):
-                        s = orient(pts[i], pts[j], pts[k])
+                        a = dx * (xy[k][1] - yi) - dy * (xy[k][0] - xi)
+                        s = (a > 0) - (a < 0)
                         tab[i][j][k] = s
                         tab[j][k][i] = s
                         tab[k][i][j] = s

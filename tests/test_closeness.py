@@ -1,16 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from tricensus import closeness
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.closeness import (
+    QuasiConvexReport,
     classify,
     close_via_neighbor_triangles,
     find_blocking_apex,
     is_close,
 )
-from tricensus.generators import gen_convex, gen_double_circle, gen_random
-from tricensus.geom import INSIDE, Point, PointSet, point_in_triangle
+from tricensus.generators import gen_convex, gen_double_circle, gen_quasi_convex, gen_random
+from tricensus.geom import INSIDE, Point, PointSet, added_point_violation, orient, point_in_triangle
 from tricensus.triangulations import count_partial
 
 SQUARE_PLUS_LOW = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(9, 20))]
@@ -148,3 +151,122 @@ def test_classify_invariant_under_positive_affine_maps():
         return [seq[i:] + seq[:i] for i in range(len(seq))]
 
     assert tuple(rep2.polygon_order) in rotations(tuple(rep.polygon_order))
+
+
+# -- the per-side classify against the routines it replaced ------------------
+
+def _blocking_apex_by_point_orient(ps, p, side):
+    """Reference scan: the two orient signs per apex, on Fraction points."""
+    q, r = side if side in ps.hull_sides() else side[::-1]
+    pts = ps.points
+    target, qp, rp = pts[p], pts[q], pts[r]
+    for apex, a in enumerate(pts):
+        if apex not in (p, q, r) and (orient(rp, a, target) != 1 or orient(a, qp, target) != 1):
+            return apex
+    return None
+
+
+def _classify_every_point_and_side(ps):
+    """Reference classify: each interior point tries every side in hull order."""
+    sides = ps.hull_sides()
+    assignment = {}
+    for p in ps.interior:
+        for side in sides:
+            if _blocking_apex_by_point_orient(ps, p, side) is None:
+                assignment[p] = side
+                break
+    by_side = {side: p for p, side in assignment.items()}
+    assert len(by_side) == len(assignment)
+    order = None
+    if len(assignment) == len(ps.interior):
+        order = tuple(v for side in sides for v in (side[0], by_side.get(side)) if v is not None)
+    return QuasiConvexReport(order is not None, assignment, order)
+
+
+def _assert_matches_references(ps):
+    report = classify(ps)
+    expected = _classify_every_point_and_side(ps)
+    assert report == expected
+    assert list(report.assignment.items()) == list(expected.assignment.items())
+    for p in ps.interior:
+        for side in ps.hull_sides():
+            apex = _blocking_apex_by_point_orient(ps, p, side)
+            assert find_blocking_apex(ps, p, side) == apex
+            assert find_blocking_apex(ps, p, side[::-1]) == apex
+    return report
+
+
+def _in_general_position(points):
+    kept = []
+    for p in points:
+        if added_point_violation(kept, p) is None:
+            kept.append(p)
+    return kept
+
+
+def _point_sets(coord):
+    return (st.lists(st.builds(Point, coord, coord), min_size=3, max_size=12)
+            .map(_in_general_position).filter(lambda pts: len(pts) >= 3)
+            .map(PointSet.from_points))
+
+
+# integer grids, and k/d grids that mix the denominators 1, 2 and 3
+integer_point_sets = _point_sets(st.integers(-12, 12))
+rational_point_sets = _point_sets(st.builds(Fraction, st.integers(-30, 30), st.integers(1, 3)))
+
+
+@settings(max_examples=150)
+@given(st.one_of(integer_point_sets, rational_point_sets))
+def test_classify_matches_references_on_grids(ps):
+    _assert_matches_references(ps)
+
+
+def _rescaled(ps, factor, dx=0, dy=0):
+    return PointSet.from_points([Point(factor * p.x + dx, factor * p.y + dy) for p in ps.points])
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(3, 8), st.data())
+def test_classify_matches_references_on_quasi_convex_sets(h, data):
+    sides = data.draw(st.sets(st.integers(0, h - 1)))
+    ps = gen_quasi_convex(h, sides)
+    report = _assert_matches_references(ps)
+    assert report.is_quasi_convex and len(report.assignment) == len(sides)
+    # the same set on a k/d grid gives the same report
+    d = data.draw(st.integers(1, 3))
+    shifted = _rescaled(ps, Fraction(1, 7 * d), Fraction(data.draw(st.integers(-9, 9)), d))
+    assert _assert_matches_references(shifted) == report
+
+
+def test_classify_matches_references_on_double_circles():
+    for m in range(3, 11):
+        ps = gen_double_circle(m)
+        report = _assert_matches_references(ps)
+        assert report.is_quasi_convex and len(report.assignment) == m
+        assert classify(_rescaled(ps, Fraction(1, 7))) == report
+
+
+def test_triangle_point_takes_its_first_close_side():
+    ps = PointSet.from_coords([(0, 0), (6, 0), (0, 6), (2, 2)])
+    report = _assert_matches_references(ps)
+    assert report.assignment == {3: ps.hull_sides()[0]}
+    assert report.polygon_order == (0, 3, 1, 2)
+
+
+def test_classify_confirms_at_most_one_candidate_per_side(monkeypatch):
+    calls = []
+
+    def counted(ps, p, side):
+        calls.append((p, side))
+        return find_blocking_apex(ps, p, side)
+
+    monkeypatch.setattr(closeness, "find_blocking_apex", counted)
+    for ps in (gen_double_circle(10), gen_quasi_convex(8, (1, 4, 5)), gen_random(12, 48, seed=4),
+               PointSet.from_coords(PENTAGON_PLUS_CENTER)):
+        calls.clear()
+        classify(ps)
+        assert len(calls) <= len(ps.hull)
+        assert len({side for _, side in calls}) == len(calls)
+    # seen from each pentagon vertex the next-but-one vertex turns less than
+    # the center, so no candidate is interior and nothing needs confirming
+    assert calls == []

@@ -15,6 +15,7 @@ from tricensus.geom import (
     format_points,
     general_position_violation,
     in_convex_position,
+    integer_view,
     is_general_position,
     orient,
     parse_points_text,
@@ -261,6 +262,76 @@ def test_convex_hull_permutation_invariant(pts, rnd):
     shuffled = list(pts)
     rnd.shuffle(shuffled)
     assert [shuffled[i] for i in convex_hull(shuffled)] == base
+
+
+# -- the integer view against the Point predicates it replaced --------------
+
+def _hull_by_point_orient(points):
+    """Reference hull: the monotone chain on Fraction coordinates with orient."""
+    if len(points) < 3:
+        raise ValueError("convex hull needs at least 3 points")
+    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+    for s, t in zip(order, order[1:]):
+        if points[s] == points[t]:
+            raise ValueError(f"duplicate point at indices {s} and {t}")
+
+    def chain(idx_iter):
+        out = []
+        for i in idx_iter:
+            while len(out) >= 2 and orient(points[out[-2]], points[out[-1]], points[i]) <= 0:
+                out.pop()
+            out.append(i)
+        return out
+
+    hull = chain(order)[:-1] + chain(reversed(order))[:-1]
+    if len(hull) < 3:
+        raise ValueError("all points are collinear")
+    return hull
+
+
+def _orient_table_from_points(points):
+    """Reference table: orient on every triple of Points."""
+    return [[[orient(a, b, c) for c in points] for b in points] for a in points]
+
+
+# wider grids than grid_points, so that hulls have interior points; the
+# rational one mixes the denominators 1, 2 and 3
+wide_grid_points = st.lists(st.builds(P, st.integers(-9, 9), st.integers(-9, 9)), max_size=12)
+wide_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 3))
+wide_rational_points = st.lists(st.builds(P, wide_fractions, wide_fractions), max_size=12)
+any_grid_points = st.one_of(grid_points, rational_grid_points, wide_grid_points, wide_rational_points)
+
+
+def test_integer_view_scales_by_the_lcm_of_the_denominators():
+    assert integer_view([P(3, -4), P(0, 7)]) == ((3, -4), (0, 7))
+    assert integer_view([P(Fraction(1, 2), Fraction(1, 3)), P(2, Fraction(-5, 6))]) == ((3, 2), (12, -5))
+    ps = PointSet.from_coords([(0, 0), (Fraction(7, 2), 0), (0, Fraction(5, 3))])
+    assert ps.xy == ((0, 0), (21, 0), (0, 10)) and not ps._cache
+
+
+@given(any_grid_points)
+def test_convex_hull_matches_point_orient_chain(pts):
+    try:
+        expected = _hull_by_point_orient(pts)
+    except ValueError as exc:  # too few, duplicate or collinear points: the same error
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            convex_hull(pts)
+        return
+    assert convex_hull(pts) == expected
+
+
+@given(any_grid_points)
+def test_orient_table_matches_point_built_table(pts):
+    # the raw constructor, so that equal points and collinear triples reach the table
+    ps = PointSet(tuple(pts), (), ())
+    assert ps.orient_table() == _orient_table_from_points(pts)
+
+
+def test_hull_and_table_match_on_ring_families():
+    for m in range(3, 11):
+        ps = gen_double_circle(m)
+        assert list(ps.hull) == _hull_by_point_orient(ps.points)
+        assert ps.orient_table() == _orient_table_from_points(ps.points)
 
 
 # -- text format ------------------------------------------------------------

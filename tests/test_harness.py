@@ -1,9 +1,14 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import tricensus
 from tricensus import charvec
 from tricensus.cli import main
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
@@ -214,6 +219,52 @@ def test_cli_charvec_radial_prints_file_indices(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(charvec, "find_charvec_collision", lambda frame: ((0, 1, 3), (0, 2, 3)))
     assert main(["charvec", str(target), "--radial", "--center", "2", "--check-psi"]) == 2
     assert capsys.readouterr().out == "collision: (4, 0, 3) and (4, 1, 3)\n"
+
+
+def test_cli_charvec_check_psi_refuses_a_center_no_good_polygon_wraps(tmp_path, capsys):
+    target = tmp_path / "dc8.pts"
+    ps = gen_double_circle(4)
+    assert 3 in ps.hull  # so no good polygon wraps point 3
+    save_point_set(target, ps)
+    assert main(["charvec", str(target), "--radial", "--center", "3", "--check-psi"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("tricensus: error: --center: no good polygon wraps point 3, "
+                            "so --check-psi has nothing to check\n")
+    # an empty listing is still an answer
+    assert main(["charvec", str(target), "--radial", "--center", "3"]) == 0
+    assert capsys.readouterr() == ("", "")
+    assert main(["charvec", str(target), "--radial", "--center", "6", "--check-psi"]) == 0
+    assert capsys.readouterr().out == "injective over 31 good polygons\n"
+
+
+def _main_in_process(argv) -> int:
+    try:
+        return main(argv)
+    except SystemExit as exc:  # argparse exits on a usage error
+        return exc.code
+
+
+def test_cli_main_calls_in_one_process_match_separate_runs(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
+    target = tmp_path / "pentagon.pts"
+    save_point_set(target, PointSet.from_coords(PENTAGON_PLUS_CENTER))
+    calls = (["count"], ["classify", str(target), "--json"],
+             ["count", str(target), "--mode", "partial"], ["classify", "--bogus", str(target)])
+    in_process = []
+    for argv in calls:
+        in_process.append((_main_in_process(argv), *capsys.readouterr()))
+    env = dict(os.environ, COLUMNS="80",
+               PYTHONPATH=str(Path(tricensus.__file__).resolve().parents[1]))
+    alone = []
+    for argv in calls:
+        run = subprocess.run([sys.executable, "-m", "tricensus", *argv],
+                             capture_output=True, text=True, env=env, timeout=60)
+        alone.append((run.returncode, run.stdout, run.stderr))
+    assert in_process == alone
+    assert [code for code, _, _ in alone] == [1, 0, 0, 1]
+    assert alone[0][2].startswith("usage: tricensus count")
+    assert alone[2][1] == "16\n"  # more than the 14 of a convex hexagon
 
 
 def test_cli_charvec_rejects_repeated_apex_or_arms(tmp_path, capsys):
