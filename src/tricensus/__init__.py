@@ -43,9 +43,6 @@ from .generators import (
     generate,
 )
 from .geom import (
-    BOUNDARY,
-    INSIDE,
-    OUTSIDE,
     Point,
     PointSet,
     added_point_violation,
@@ -54,10 +51,7 @@ from .geom import (
     in_convex_position,
     is_general_position,
     load_point_set,
-    orient,
-    point_in_triangle,
     save_point_set,
-    segments_properly_cross,
 )
 from .harness import CorpusReport, InstanceVerdict, RunConfig, run_corpus, verify_instance
 from .triangulations import (

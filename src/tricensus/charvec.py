@@ -1,6 +1,8 @@
 """Characteristic vectors of polylines in an angle and of polygons around a point.
 
-Two related encodings live here, both decided purely by orientation signs.
+Two related encodings live here, both decided purely by orientation signs,
+which are read as integer cross products on the frame's exact
+:func:`~tricensus.geom.integer_view`.
 
 *Angle frames.*  Fix an apex and two arm points spanning an angle smaller
 than a half-turn, with interior points sorted left to right by the angle
@@ -40,13 +42,7 @@ from functools import cmp_to_key
 from itertools import chain, combinations
 
 from .errors import ConstructionError, SizeCapError
-from .geom import (
-    Point,
-    PointSet,
-    general_position_violation,
-    orient,
-    segments_properly_cross,
-)
+from .geom import Point, PointSet, general_position_violation, integer_view, turn
 
 GOOD_POLYGON_CAP = 10
 PROJECTION_ROUNDS = 64
@@ -66,27 +62,25 @@ class AngleFrame:
     interior: tuple[Point, ...]
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
-    def node(self, e: int) -> Point:
-        """Chain node by id: -1 is the left arm, n is the right arm."""
-        if e == -1:
-            return self.left_arm
-        if e == len(self.interior):
-            return self.right_arm
-        return self.interior[e]
-
     def crossing_table(self) -> list:
-        """crossings[i][u+1][v+1]: does apex--P_i cross the chord node(u)--node(v)."""
+        """crossings[i][u+1][v+1]: does apex--P_i properly cross the chord between
+        chain nodes u and v?  Node -1 is the left arm, node n the right arm and
+        node k < n the interior point P_k."""
         table = self._cache.get("crossings")
         if table is None:
             n = len(self.interior)
+            # chain node e is nodes[e + 1]
+            apex, *nodes = integer_view((self.apex, self.left_arm, *self.interior, self.right_arm))
             table = [[[False] * (n + 2) for _ in range(n + 2)] for _ in range(n)]
             for i in range(n):
+                p = nodes[i + 1]
                 for u in range(-1, n + 1):
                     for v in range(u + 1, n + 1):
                         if i in (u, v):
                             continue
-                        hit = segments_properly_cross(
-                            self.apex, self.interior[i], self.node(u), self.node(v))
+                        a, b = nodes[u + 1], nodes[v + 1]
+                        hit = (turn(apex, p, a) * turn(apex, p, b) < 0
+                               and turn(a, b, apex) * turn(a, b, p) < 0)
                         table[i][u + 1][v + 1] = hit
                         table[i][v + 1][u + 1] = hit
             self._cache["crossings"] = table
@@ -99,20 +93,18 @@ def build_angle_frame(apex: Point, left_arm: Point, right_arm: Point, pts) -> An
     witness = general_position_violation([apex, left_arm, right_arm, *pts])
     if witness is not None:
         raise ValueError(f"frame points not in general position: indices {witness}")
-    s = orient(apex, left_arm, right_arm)
-    for p in pts:
-        if orient(apex, left_arm, p) != s or orient(apex, right_arm, p) != -s:
+    a, left, right, *xy = integer_view([apex, left_arm, right_arm, *pts])
+    s = turn(a, left, right)
+    for p, q in zip(pts, xy):
+        if turn(a, left, q) != s or turn(a, right, q) != -s:
             raise ValueError(f"{p} is not strictly inside the angle")
+
     # X comes before Y when the angle from the left arm at the apex is smaller
-    ordered = sorted(pts, key=_angular_key(apex, s))
-    return AngleFrame(apex, left_arm, right_arm, tuple(ordered))
+    def cmp(i: int, j: int) -> int:
+        return -s * turn(a, xy[i], xy[j])
 
-
-def _angular_key(apex: Point, s: int):
-    def cmp(u: Point, v: Point) -> int:
-        return -s * orient(apex, u, v)
-
-    return cmp_to_key(cmp)
+    order = sorted(range(len(pts)), key=cmp_to_key(cmp))
+    return AngleFrame(apex, left_arm, right_arm, tuple(pts[i] for i in order))
 
 
 def all_polylines(frame: AngleFrame):
@@ -222,22 +214,32 @@ class RadialFrame:
 
     The order starts at ``reference``, the first direction from the fixed
     sequence (0,-1), (1,0), (1,-1), (1,-2), ... that is parallel to no
-    center-to-point ray.
+    center-to-point ray.  ``xy`` and ``center_xy`` are the :func:`integer_view`
+    of the points and the center, built with the frame.
     """
 
     center: Point
     points: tuple[Point, ...]
     reference: tuple[int, int]
+    xy: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    center_xy: tuple[int, int] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        *xy, c = integer_view((*self.points, self.center))
+        object.__setattr__(self, "xy", tuple(xy))
+        object.__setattr__(self, "center_xy", c)
 
 
-def _reference_direction(center: Point, pts) -> tuple[int, int]:
+def _reference_direction(center: tuple[int, int], xy) -> tuple[int, int]:
+    cx, cy = center
+
     def parallel(d, p):
-        return d[0] * (p.y - center.y) - d[1] * (p.x - center.x) == 0
+        return d[0] * (p[1] - cy) - d[1] * (p[0] - cx) == 0
 
     k = 0
     while True:
         d = (0, -1) if k == 0 else (1, -(k - 1))
-        if not any(parallel(d, p) for p in pts):
+        if not any(parallel(d, p) for p in xy):
             return d
         k += 1
 
@@ -247,19 +249,22 @@ def build_radial_frame(center: Point, pts) -> RadialFrame:
     witness = general_position_violation([center, *pts])
     if witness is not None:
         raise ValueError(f"frame points not in general position: indices {witness}")
-    ref = _reference_direction(center, pts)
+    c, *xy = integer_view([center, *pts])
+    ref = _reference_direction(c, xy)
+    cx, cy = c
 
-    def half(p: Point) -> int:
+    def half(i: int) -> int:
         # 0 when the ccw angle from the reference direction is below a half-turn
-        return 0 if ref[0] * (p.y - center.y) - ref[1] * (p.x - center.x) > 0 else 1
+        return 0 if ref[0] * (xy[i][1] - cy) - ref[1] * (xy[i][0] - cx) > 0 else 1
 
-    def cmp(p1: Point, p2: Point) -> int:
-        h1, h2 = half(p1), half(p2)
-        if h1 != h2:
-            return h1 - h2
-        return -orient(center, p1, p2)
+    def cmp(i: int, j: int) -> int:
+        hi, hj = half(i), half(j)
+        if hi != hj:
+            return hi - hj
+        return -turn(c, xy[i], xy[j])
 
-    return RadialFrame(center, tuple(sorted(pts, key=cmp_to_key(cmp))), ref)
+    order = sorted(range(len(pts)), key=cmp_to_key(cmp))
+    return RadialFrame(center, tuple(pts[i] for i in order), ref)
 
 
 def is_good_polygon(frame: RadialFrame, vertices) -> bool:
@@ -270,11 +275,9 @@ def is_good_polygon(frame: RadialFrame, vertices) -> bool:
         return False
     if any(not 0 <= v < n for v in verts):
         return False
-    c = frame.center
+    c, xy = frame.center_xy, frame.xy
     for m in range(len(verts)):
-        u = frame.points[verts[m]]
-        v = frame.points[verts[(m + 1) % len(verts)]]
-        if orient(c, u, v) != 1:
+        if turn(c, xy[verts[m]], xy[verts[(m + 1) % len(verts)]]) != 1:
             return False
     return True
 
@@ -292,11 +295,9 @@ def enumerate_good_polygons(frame: RadialFrame) -> list[tuple[int, ...]]:
 
 
 def _center_in_cone(frame: RadialFrame, at: int, left: int, right: int) -> bool:
-    p = frame.points[at]
-    u = frame.points[left]
-    v = frame.points[right]
-    c = orient(p, u, v)
-    return orient(p, u, frame.center) == c and orient(p, frame.center, v) == c
+    p, u, v = frame.xy[at], frame.xy[left], frame.xy[right]
+    s = turn(p, u, v)
+    return turn(p, u, frame.center_xy) == s and turn(p, frame.center_xy, v) == s
 
 
 def polygon_charvec(frame: RadialFrame, vertices) -> tuple[int, ...]:
@@ -331,13 +332,14 @@ def charvec_image(frame: RadialFrame) -> set[tuple[int, ...]]:
     return {polygon_charvec(frame, poly) for poly in enumerate_good_polygons(frame)}
 
 
-def find_charvec_collision(frame: RadialFrame):
-    """Two distinct good polygons sharing a characteristic vector, or None.
+def find_charvec_collision(frame: RadialFrame, polygons):
+    """Two distinct good polygons of ``polygons`` sharing a characteristic vector, or None.
 
+    Given every good polygon of the frame (:func:`enumerate_good_polygons`),
     None certifies that the polygon-to-vector map is injective on this frame.
     """
     seen: dict[tuple[int, ...], tuple[int, ...]] = {}
-    for poly in enumerate_good_polygons(frame):
+    for poly in polygons:
         vec = polygon_charvec(frame, poly)
         if vec in seen:
             return (seen[vec], poly)

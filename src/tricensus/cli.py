@@ -176,7 +176,7 @@ def _cmd_charvec(args) -> int:
             if not good:  # a check over no polygon would pass without checking anything
                 raise ValueError(f"--center: no good polygon wraps point {center}, "
                                  "so --check-psi has nothing to check")
-            collision = charvec.find_charvec_collision(frame)
+            collision = charvec.find_charvec_collision(frame, good)
             if collision is None:
                 print(f"injective over {len(good)} good polygons")
                 return 0

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .geom import INSIDE, PointSet, point_in_triangle
+from .geom import PointSet
 
 
 def _side_or_raise(ps: PointSet, side) -> tuple[int, int]:
@@ -110,22 +110,25 @@ def classify(ps: PointSet) -> QuasiConvexReport:
 def close_via_neighbor_triangles(ps: PointSet, p: int) -> bool:
     """Closeness test for a sole interior point via the two neighbor triangles.
 
-    For each hull side, containment in the triangles formed with the side's
-    two neighboring hull vertices decides closeness; must agree with
+    For each hull side, strict containment in the triangles formed with the
+    side's two neighboring hull vertices decides closeness; must agree with
     :func:`classify` on single-interior-point sets.
     """
     if tuple(ps.interior) != (p,):
         raise ValueError("the set must have exactly this one interior point")
-    pts = ps.points
+    tab = ps.orient_table()
     hull = ps.hull
     h = len(hull)
-    target = pts[p]
+
+    def contains_p(a: int, b: int, c: int) -> bool:
+        s = tab[a][b][c]
+        return tab[a][b][p] == s and tab[b][c][p] == s and tab[c][a][p] == s
+
     for j in range(h):
         a = hull[j]
         b = hull[(j + 1) % h]
         succ = hull[(j + 2) % h]
         pred = hull[(j - 1) % h]
-        if (point_in_triangle(target, pts[a], pts[b], pts[succ]) == INSIDE
-                and point_in_triangle(target, pts[pred], pts[a], pts[b]) == INSIDE):
+        if contains_p(a, b, succ) and contains_p(pred, a, b):
             return True
     return False

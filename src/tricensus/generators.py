@@ -16,7 +16,7 @@ from fractions import Fraction
 
 from .closeness import is_close
 from .errors import ConstructionError
-from .geom import Point, PointSet, added_point_violation, general_position_violation, orient
+from .geom import Point, PointSet, added_xy_violation, general_position_violation, integer_view, turn
 from .charvec import AngleFrame, RadialFrame, build_angle_frame, build_radial_frame
 
 _MASK64 = (1 << 64) - 1
@@ -111,8 +111,9 @@ def _convex_ring(n: int, radius: int, rng: SplitMix64) -> list[Point]:
 
 
 def _is_strictly_convex_ring(pts: list[Point]) -> bool:
-    n = len(pts)
-    return all(orient(pts[m - 1], pts[m], pts[(m + 1) % n]) == 1 for m in range(n))
+    xy = integer_view(pts)
+    n = len(xy)
+    return all(turn(xy[m - 1], xy[m], xy[(m + 1) % n]) == 1 for m in range(n))
 
 
 def gen_convex(n: int, scale: int = 64, seed: int = 0) -> PointSet:
@@ -129,20 +130,14 @@ def gen_convex(n: int, scale: int = 64, seed: int = 0) -> PointSet:
     raise ConstructionError(f"no strictly convex {n}-gon found at scale {scale}")
 
 
-def _clear_denominators(pts: list[Point]) -> list[Point]:
-    lcm = 1
-    for p in pts:
-        lcm = math.lcm(lcm, p.x.denominator, p.y.denominator)
-    return [Point(p.x * lcm, p.y * lcm) for p in pts]
-
-
 def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
     """Seedless convex m-gon plus one certified-close point on each of the
     ascending ``sides``.
 
     Points start near the side midpoints, offset inward; the offset shrinks,
     and then the ring's scale doubles, until every closeness certificate
-    holds.  Coordinates are cleared to integers before the final certification.
+    holds.  Each candidate set is replaced by its integer view before the final
+    certification, so the points are integers.
     """
     for doubling in range(8):
         ring = list(gen_convex(m, scale << doubling, _FAMILY_SEED).points)
@@ -155,7 +150,7 @@ def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
                 # midpoint pulled inward along the left (interior) normal
                 pts.append(Point((q.x + r.x) / 2 - lam * (r.y - q.y),
                                  (q.y + r.y) / 2 + lam * (r.x - q.x)))
-            pts = _clear_denominators(pts)
+            pts = [Point(x, y) for x, y in integer_view(pts)]
             try:
                 ps = PointSet.from_points(pts)
             except ValueError:
@@ -192,46 +187,45 @@ def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
     if bbox < 8:
         raise ValueError("bounding box must be at least 8")
     rng = SplitMix64(seed)
-    pts: list[Point] = []
+    xy: list[tuple[int, int]] = []
     misses = 0
-    while len(pts) < n:
-        cand = Point(rng.below(bbox + 1), rng.below(bbox + 1))
-        if added_point_violation(pts, cand) is None:
-            pts.append(cand)
+    while len(xy) < n:
+        cand = (rng.below(bbox + 1), rng.below(bbox + 1))
+        if added_xy_violation(xy, cand) is None:
+            xy.append(cand)
             continue
         misses += 1
         if misses > 200:
             bbox *= 2
             misses = 0
-    return PointSet.from_points(pts)
+    return PointSet.from_points([Point(x, y) for x, y in xy])
 
 
 def gen_angle_frame(n: int, seed: int = 0) -> AngleFrame:
     """Seeded frame: fixed arms, n random integer points strictly inside the angle."""
     rng = SplitMix64(seed)
-    apex = Point(0, _FRAME_SCALE)
-    left = Point(-_FRAME_SCALE, 0)
-    right = Point(_FRAME_SCALE, 0)
-    pts: list[Point] = []
-    while len(pts) < n:
-        cand = Point(rng.below(2 * _FRAME_SCALE - 1) - (_FRAME_SCALE - 1),
-                     rng.below(2 * _FRAME_SCALE) - _FRAME_SCALE + 1)
-        s = orient(apex, left, right)
-        if orient(apex, left, cand) != s or orient(apex, right, cand) != -s:
+    apex, left, right = (0, _FRAME_SCALE), (-_FRAME_SCALE, 0), (_FRAME_SCALE, 0)
+    s = turn(apex, left, right)
+    xy = [apex, left, right]
+    while len(xy) < n + 3:
+        cand = (rng.below(2 * _FRAME_SCALE - 1) - (_FRAME_SCALE - 1),
+                rng.below(2 * _FRAME_SCALE) - _FRAME_SCALE + 1)
+        if turn(apex, left, cand) != s or turn(apex, right, cand) != -s:
             continue
-        if added_point_violation([apex, left, right, *pts], cand) is None:
-            pts.append(cand)
+        if added_xy_violation(xy, cand) is None:
+            xy.append(cand)
+    apex, left, right, *pts = (Point(x, y) for x, y in xy)
     return build_angle_frame(apex, left, right, pts)
 
 
 def gen_radial_frame(n: int, seed: int = 0) -> RadialFrame:
     """Seeded frame: center at the origin, n random integer points around it."""
     rng = SplitMix64(seed)
-    center = Point(0, 0)
-    pts: list[Point] = []
-    while len(pts) < n:
-        cand = Point(rng.below(2 * _FRAME_SCALE + 1) - _FRAME_SCALE,
-                     rng.below(2 * _FRAME_SCALE + 1) - _FRAME_SCALE)
-        if added_point_violation([center, *pts], cand) is None:
-            pts.append(cand)
+    xy = [(0, 0)]  # the center
+    while len(xy) < n + 1:
+        cand = (rng.below(2 * _FRAME_SCALE + 1) - _FRAME_SCALE,
+                rng.below(2 * _FRAME_SCALE + 1) - _FRAME_SCALE)
+        if added_xy_violation(xy, cand) is None:
+            xy.append(cand)
+    center, *pts = (Point(x, y) for x, y in xy)
     return build_radial_frame(center, pts)

@@ -1,23 +1,22 @@
 """Exact planar primitives over rational coordinates.
 
 Coordinates are `fractions.Fraction` values (always stored canonically, with
-positive denominator), so every predicate in this module is decision-exact:
-there are no epsilons, no tolerances and no floating point anywhere.  Point
-sets are validated to be in general position (pairwise distinct, no three
-collinear) when built through :meth:`PointSet.from_points`; every other
-module relies on that.  One routine, :func:`added_point_violation`, checks a
-new point against points already in general position; all callers use it.
-It decides general position by hashing the exact reduced integer direction
-from the new point to each other point, so a whole set takes O(n^2).
+positive denominator), and there are no epsilons, no tolerances and no
+floating point anywhere.  Every sign is decided on one exact integer view of
+the points, :func:`integer_view`: every coordinate times the lcm of all
+denominators.  A positive scale keeps every orientation sign, equality and
+the (x, y) order, so a cross product of integer pairs decides what the same
+product of the rationals decides; integer inputs stay as they are.  Each
+:class:`PointSet` carries its view as ``xy`` (O(n) memory), and
+:func:`convex_hull`, :meth:`PointSet.orient_table`, closeness and counting
+read it.  :func:`turn` is the three-point sign on integer pairs.
 
-Past that check, predicates run on one exact integer view of the points,
-:func:`integer_view`: every coordinate times the lcm of all denominators.
-A positive scale keeps every orientation sign and the (x, y) order, so a
-cross product of integer pairs decides what :func:`orient` decides on
-``Fraction`` points, several times faster; integer inputs stay as they are.
-Each :class:`PointSet` carries its view as ``xy`` (O(n) memory), and
-:func:`convex_hull`, :meth:`PointSet.orient_table` and the closeness
-routines read it.  :func:`orient` itself stays for loose points.
+Point sets are validated to be in general position (pairwise distinct, no
+three collinear) when built through :meth:`PointSet.from_points`; every
+other module relies on that.  One routine, :func:`added_xy_violation`,
+checks a new point against points already in general position; every check
+goes through it.  It hashes the reduced integer direction from the new point
+to each other point, so a whole set takes O(n^2).
 
 The module also owns the "tricensus points v1" text format::
 
@@ -38,12 +37,6 @@ from math import gcd, lcm
 from pathlib import Path
 
 POINTS_HEADER = "# tricensus points v1"
-
-# point_in_triangle classifications
-INSIDE = "inside"
-BOUNDARY = "boundary"
-OUTSIDE = "outside"
-
 
 def _coord(value) -> Fraction:
     if isinstance(value, Fraction):
@@ -72,59 +65,6 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
-def orient(p: Point, q: Point, r: Point) -> int:
-    """Sign of the turn p -> q -> r: +1 counter-clockwise, -1 clockwise, 0 collinear."""
-    px, py, qx, qy, rx, ry = p.x, p.y, q.x, q.y, r.x, r.y
-    # integer-grid fast path; the general branch is exact as well, just slower
-    if (px.denominator == 1 and py.denominator == 1 and qx.denominator == 1
-            and qy.denominator == 1 and rx.denominator == 1 and ry.denominator == 1):
-        a = ((qx.numerator - px.numerator) * (ry.numerator - py.numerator)
-             - (qy.numerator - py.numerator) * (rx.numerator - px.numerator))
-    else:
-        a = (qx - px) * (ry - py) - (qy - py) * (rx - px)
-    if a > 0:
-        return 1
-    if a < 0:
-        return -1
-    return 0
-
-
-def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> str:
-    """Classify p against triangle abc as INSIDE, BOUNDARY or OUTSIDE.
-
-    The result does not depend on the order of a, b, c.  Raises ValueError
-    for a degenerate (collinear) triangle.
-    """
-    turn = orient(a, b, c)
-    if turn == 0:
-        raise ValueError("degenerate triangle: vertices are collinear")
-    if turn < 0:
-        b, c = c, b
-    o1 = orient(a, b, p)
-    o2 = orient(b, c, p)
-    o3 = orient(c, a, p)
-    if o1 < 0 or o2 < 0 or o3 < 0:
-        return OUTSIDE
-    if o1 == 0 or o2 == 0 or o3 == 0:
-        return BOUNDARY
-    return INSIDE
-
-
-def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """True iff the open segments ab and cd share exactly one interior point.
-
-    Segments that merely touch, share an endpoint or overlap along a common
-    line do not properly cross.
-    """
-    if a == b or c == d:
-        raise ValueError("segment endpoints must be distinct")
-    o1 = orient(a, b, c)
-    o2 = orient(a, b, d)
-    o3 = orient(c, d, a)
-    o4 = orient(c, d, b)
-    return o1 * o2 < 0 and o3 * o4 < 0
-
-
 def integer_view(points) -> tuple[tuple[int, int], ...]:
     """The points as integer pairs: every coordinate times the lcm of all denominators.
 
@@ -136,6 +76,13 @@ def integer_view(points) -> tuple[tuple[int, int], ...]:
         return tuple((p.x.numerator, p.y.numerator) for p in points)
     return tuple((p.x.numerator * (scale // p.x.denominator),
                   p.y.numerator * (scale // p.y.denominator)) for p in points)
+
+
+def turn(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
+    """Sign of the turn a -> b -> c of integer pairs: +1 counter-clockwise,
+    -1 clockwise, 0 collinear."""
+    v = (b[0] - a[0]) * (c[1] - a[1]) - (b[1] - a[1]) * (c[0] - a[0])
+    return (v > 0) - (v < 0)
 
 
 def convex_hull(points: list[Point] | tuple[Point, ...]) -> list[int]:
@@ -181,29 +128,20 @@ def in_convex_position(points: list[Point] | tuple[Point, ...]) -> bool:
         return False
 
 
-def added_point_violation(points, new: Point) -> tuple[int, ...] | None:
-    """For ``points`` in general position: ``(i,)`` if ``points[i] == new``,
+def added_xy_violation(xy, new: tuple[int, int]) -> tuple[int, ...] | None:
+    """For integer pairs ``xy`` in general position: ``(i,)`` if ``xy[i] == new``,
     ``(i, j)`` with i < j if both are collinear with ``new``, else None.  O(n).
 
     An equal point wins over a collinear pair, and of several collinear pairs
-    the lexicographically smallest is returned.  Each ``points[i]`` is keyed
-    by the exact direction ``new -> points[i]`` as a reduced integer pair with
-    a fixed sign, so two points are collinear with ``new`` iff their keys match.
+    the lexicographically smallest is returned.  Each ``xy[i]`` is keyed by
+    the direction ``new -> xy[i]`` reduced by its gcd, with a fixed sign, so
+    two points are collinear with ``new`` iff their keys match.
     """
-    nxn, nxd = new.x.numerator, new.x.denominator
-    nyn, nyd = new.y.numerator, new.y.denominator
-    integral = nxd == 1 and nyd == 1
+    nx, ny = new
     first: dict[tuple[int, int], int] = {}
     pair = None
-    for i, p in enumerate(points):
-        px, py = p.x, p.y
-        pxd, pyd = px.denominator, py.denominator
-        if integral and pxd == 1 and pyd == 1:
-            dx, dy = px.numerator - nxn, py.numerator - nyn
-        else:
-            # (px - nx, py - ny) times the product of the four positive denominators
-            dx = (px.numerator * nxd - nxn * pxd) * (pyd * nyd)
-            dy = (py.numerator * nyd - nyn * pyd) * (pxd * nxd)
+    for i, (x, y) in enumerate(xy):
+        dx, dy = x - nx, y - ny
         g = gcd(dx, dy)
         if g == 0:
             return (i,)
@@ -215,11 +153,19 @@ def added_point_violation(points, new: Point) -> tuple[int, ...] | None:
     return pair
 
 
+def added_point_violation(points, new: Point) -> tuple[int, ...] | None:
+    """:func:`added_xy_violation` for ``Point`` values, decided on the
+    :func:`integer_view` of ``points`` and ``new`` together."""
+    *xy, new_xy = integer_view((*points, new))
+    return added_xy_violation(xy, new_xy)
+
+
 def general_position_violation(points) -> tuple[int, ...] | None:
     """Ascending duplicate pair or collinear triple ending at the first index
     that breaks general position, or None."""
-    for k in range(1, len(points)):
-        witness = added_point_violation(points[:k], points[k])
+    xy = integer_view(points)
+    for k in range(1, len(xy)):
+        witness = added_xy_violation(xy[:k], xy[k])
         if witness is not None:
             return (*witness, k)
     return None

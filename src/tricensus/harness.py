@@ -167,9 +167,10 @@ def run_suite_checks(seed: int) -> dict[str, bool]:
         charvec.frame_bijection_holds(generators.gen_angle_frame(k % 8, seed + k))
         for k in range(12))
 
+    radial = (generators.gen_radial_frame(3 + k % 5, seed + k) for k in range(12))
     injective = all(
-        charvec.find_charvec_collision(generators.gen_radial_frame(3 + k % 5, seed + k)) is None
-        for k in range(12))
+        charvec.find_charvec_collision(f, charvec.enumerate_good_polygons(f)) is None
+        for f in radial)
 
     return {
         "recurrence_n_le_30": recurrence,

@@ -40,8 +40,9 @@ from integer (y, x) heights, the points whose rightward ray crosses each
 segment, so that the points inside a sub-polygon are a crossing-parity XOR
 over its edges.  Ordering heights by (y, x) instead of y is a consistent
 symbolic tie-break (an infinitesimal shear, which changes no orientation), so
-points sharing a y coordinate need no special case.  The build is the only
-place a ``Fraction`` is compared.
+points sharing a y coordinate need no special case.  The point order and
+the heights come from ``ps.xy``, whose positive scale keeps the (x, y) order
+of the rationals.
 
 ``brute_force_count`` is a deliberately independent oracle: it counts
 maximal pairwise-non-crossing edge sets by lexicographic backtracking over
@@ -111,8 +112,8 @@ class _RegionTables:
 
     def __init__(self, ps: PointSet, order):
         tab = ps.orient_table()
-        pts = ps.points
-        n = len(pts)
+        xy = ps.xy
+        n = len(xy)
         rank = [0] * n
         for r, i in enumerate(order):
             rank[i] = r
@@ -125,7 +126,7 @@ class _RegionTables:
         # ray[u][v]: the ranks whose rightward ray crosses segment uv; a point
         # is level with a segment when its (y, x) height lies strictly between
         # the heights of the endpoints
-        by_height = sorted(range(n), key=lambda r: (pts[order[r]].y, pts[order[r]].x))
+        by_height = sorted(range(n), key=lambda r: xy[order[r]][::-1])
         below = [0]  # below[h]: the ranks of height < h
         for r in by_height:
             below.append(below[-1] | 1 << r)
@@ -174,8 +175,7 @@ def _tables(ps: PointSet, canonical: bool) -> _RegionTables:
     tables = ps._cache.get(key)
     if tables is None:
         if canonical:
-            def xy(i):
-                return ps.points[i].x, ps.points[i].y
+            xy = ps.xy.__getitem__
             order = sorted(ps.interior, key=xy) + sorted(ps.hull, key=xy)
         else:
             order = range(len(ps.points))

@@ -15,6 +15,7 @@ from tricensus.catalan import (
     polygon_triangulation_count,
 )
 from tricensus.charvec import (
+    enumerate_good_polygons,
     find_charvec_collision,
     frame_bijection_holds,
     project_to_convex_position,
@@ -233,7 +234,7 @@ def test_criterion_08_polygon_charvec_suite():
     frames = 0
     for k in range(110):
         frame = gen_radial_frame(3 + k % 6, seed=50_000 + k)
-        assert find_charvec_collision(frame) is None, f"seed {50_000 + k}"
+        assert find_charvec_collision(frame, enumerate_good_polygons(frame)) is None, f"seed {50_000 + k}"
         frames += 1
     assert frames >= 100
 

@@ -1,6 +1,10 @@
+from bisect import bisect_left
 from fractions import Fraction
+from functools import cmp_to_key
+from itertools import combinations, count
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.charvec import (
@@ -23,6 +27,8 @@ from tricensus.errors import SizeCapError
 from tricensus.generators import gen_angle_frame, gen_radial_frame, gen_random
 from tricensus.geom import Point, PointSet, in_convex_position
 from tricensus.triangulations import count_partial
+
+from oracles import orient, segments_properly_cross
 
 P = Point
 F = Fraction
@@ -145,7 +151,7 @@ def test_polygon_charvec_rejects_bad_polygon():
 def test_psi_injectivity_on_seeded_frames():
     for k in range(16):
         frame = gen_radial_frame(3 + k % 6, seed=300 + k)
-        assert find_charvec_collision(frame) is None
+        assert find_charvec_collision(frame, enumerate_good_polygons(frame)) is None
 
 
 def test_good_polygon_enumeration_cap():
@@ -181,6 +187,119 @@ def test_ray_move_that_breaks_general_position_errors():
     frame = build_radial_frame(P(0, 0), [P(2, 1), P(6, 1), P(1, 4)])
     with pytest.raises(ValueError):
         move_along_ray(frame, frame.points.index(P(1, 4)), F(1, 4))
+
+
+# -- rational frames against the Fraction oracles ------------------------------
+
+def _grid(lo, hi):
+    """k/d in [lo, hi] with d in 1..3, so integer and rational coordinates mix."""
+    return st.integers(1, 3).flatmap(lambda d: st.builds(F, st.integers(lo * d, hi * d), st.just(d)))
+
+
+def _grid_points(lo, hi, y_lo=None, y_hi=None):
+    return st.builds(P, _grid(lo, hi), _grid(lo if y_lo is None else y_lo, hi if y_hi is None else y_hi))
+
+
+# an angle opening downwards from above the box [-8, 8]^2, and points mostly in it
+angles = st.tuples(_grid_points(-2, 2, 9, 12), _grid_points(-40, -30, -12, -9),
+                   _grid_points(30, 40, -12, -9))
+
+
+def _seventh(p):
+    return P(p.x / 7, p.y / 7)
+
+
+def _kept_in_general_position(points):
+    kept = []
+    for p in points:
+        if p not in kept and all(orient(a, b, p) != 0 for a, b in combinations(kept, 2)):
+            kept.append(p)
+    return kept
+
+
+@settings(max_examples=60, deadline=None)
+@given(angles, st.lists(_grid_points(-8, 8), max_size=9))
+def test_angle_frames_on_rational_grids_match_fraction_oracles(angle, points):
+    apex, left, right = angle
+    s = orient(apex, left, right)
+    inside = [p for p in points if orient(apex, left, p) == s and orient(apex, right, p) == -s]
+    kept = _kept_in_general_position([apex, left, right, *inside])
+    assume(kept[:3] == [apex, left, right])
+    pts = kept[3:]
+    frame = build_angle_frame(apex, left, right, pts)
+    n = len(pts)
+    assert sorted(frame.interior, key=tuple) == sorted(pts, key=tuple)
+    # left to right: each point turns from the left arm less than every later one
+    assert all(orient(apex, u, v) == s for u, v in combinations(frame.interior, 2))
+    nodes = (left, *frame.interior, right)  # chain node e is nodes[e + 1]
+    table = frame.crossing_table()
+    for i, p in enumerate(frame.interior):
+        for u, v in combinations(range(-1, n + 1), 2):
+            if i not in (u, v):
+                hit = segments_properly_cross(apex, p, nodes[u + 1], nodes[v + 1])
+                assert table[i][u + 1][v + 1] == table[i][v + 1][u + 1] == hit
+    shrunk = build_angle_frame(_seventh(apex), _seventh(left), _seventh(right), map(_seventh, pts))
+    assert shrunk.interior == tuple(map(_seventh, frame.interior))
+    for polyline in all_polylines(frame):
+        chain = (-1, *polyline, n)
+        expected = []
+        for k in range(n):
+            if k in polyline:
+                pos = chain.index(k)
+                a, b = chain[pos - 1], chain[pos + 1]
+            else:
+                a, b = max(c for c in chain if c < k), min(c for c in chain if c > k)
+            crosses = segments_properly_cross(apex, frame.interior[k], nodes[a + 1], nodes[b + 1])
+            expected.append(int(crosses) ^ (k in polyline))
+        vec = polyline_charvec(frame, polyline)
+        assert vec == tuple(expected) == polyline_charvec(shrunk, polyline)
+        assert polyline_from_charvec(frame, vec) == polyline_from_charvec(shrunk, vec) == polyline
+
+
+def _radial_frame_by_point_orient(center, pts):
+    """Reference frame: reference direction and counter-clockwise sort on Fraction points."""
+    def cross(d, p):
+        return d[0] * (p.y - center.y) - d[1] * (p.x - center.x)
+
+    directions = ((0, -1) if k == 0 else (1, 1 - k) for k in count())
+    ref = next(d for d in directions if all(cross(d, p) != 0 for p in pts))
+
+    def cmp(p, q):
+        return (cross(ref, q) > 0) - (cross(ref, p) > 0) or -orient(center, p, q)
+
+    return ref, tuple(sorted(pts, key=cmp_to_key(cmp)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_grid_points(-2, 2), st.lists(_grid_points(-8, 8), min_size=4, max_size=8))
+def test_radial_frames_on_rational_grids_match_fraction_oracles(center, points):
+    center, *pts = _kept_in_general_position([center, *points])
+    assume(pts)
+    frame = build_radial_frame(center, pts)
+    assert (frame.reference, frame.points) == _radial_frame_by_point_orient(center, pts)
+    n = len(pts)
+    ring = frame.points
+    good = [poly for m in range(3, n + 1) for poly in combinations(range(n), m)
+            if all(orient(center, ring[poly[j - 1]], ring[poly[j]]) == 1 for j in range(m))]
+    assert enumerate_good_polygons(frame) == good
+    shrunk = build_radial_frame(_seventh(center), map(_seventh, pts))
+    assert (shrunk.reference, shrunk.points) == (frame.reference, tuple(map(_seventh, ring)))
+    assert enumerate_good_polygons(shrunk) == good
+    for poly in good:
+        m = len(poly)
+        bits = []
+        for i in range(n):
+            if i in poly:
+                pos = poly.index(i)
+                a, b = poly[pos - 1], poly[(pos + 1) % m]
+            else:
+                pos = bisect_left(poly, i)
+                a, b = poly[pos - 1], poly[pos % m]
+            p, u, v = ring[i], ring[a], ring[b]
+            s = orient(p, u, v)
+            in_cone = orient(p, u, center) == s and orient(p, center, v) == s
+            bits.append(int(in_cone != (i in poly)))
+        assert polygon_charvec(frame, poly) == tuple(bits) == polygon_charvec(shrunk, poly)
 
 
 # -- outward projection -----------------------------------------------------

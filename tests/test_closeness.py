@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tricensus import closeness
 from tricensus.catalan import polygon_triangulation_count
@@ -13,8 +13,10 @@ from tricensus.closeness import (
     is_close,
 )
 from tricensus.generators import gen_convex, gen_double_circle, gen_quasi_convex, gen_random
-from tricensus.geom import INSIDE, Point, PointSet, added_point_violation, orient, point_in_triangle
+from tricensus.geom import Point, PointSet, added_point_violation
 from tricensus.triangulations import count_partial
+
+from oracles import INSIDE, orient, point_in_triangle
 
 SQUARE_PLUS_LOW = [(0, 0), (1, 0), (1, 1), (0, 1), (Fraction(1, 2), Fraction(9, 20))]
 PENTAGON_PLUS_CENTER = [(0, -10), (10, -3), (6, 9), (-6, 9), (-10, -3), (0, 0)]
@@ -219,6 +221,26 @@ rational_point_sets = _point_sets(st.builds(Fraction, st.integers(-30, 30), st.i
 @given(st.one_of(integer_point_sets, rational_point_sets))
 def test_classify_matches_references_on_grids(ps):
     _assert_matches_references(ps)
+
+
+def _close_by_point_in_triangle(ps, p):
+    """Reference neighbor-triangle rule: point_in_triangle on the Fraction points."""
+    pts, hull = ps.points, ps.hull
+    h = len(hull)
+    return any(
+        point_in_triangle(pts[p], pts[hull[j]], pts[hull[(j + 1) % h]], pts[hull[(j + 2) % h]]) == INSIDE
+        and point_in_triangle(pts[p], pts[hull[j - 1]], pts[hull[j]], pts[hull[(j + 1) % h]]) == INSIDE
+        for j in range(h))
+
+
+@given(st.one_of(integer_point_sets, rational_point_sets))
+def test_neighbor_triangle_rule_matches_point_in_triangle_on_grids(ps):
+    assume(ps.interior)
+    # the hull and its first interior point: a set with one interior point
+    one = PointSet.from_points([ps.points[i] for i in ps.hull] + [ps.points[ps.interior[0]]])
+    p = len(ps.hull)
+    assert one.interior == (p,)
+    assert close_via_neighbor_triangles(one, p) == _close_by_point_in_triangle(one, p)
 
 
 def _rescaled(ps, factor, dx=0, dy=0):

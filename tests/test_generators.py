@@ -22,9 +22,10 @@ from tricensus.geom import (
     format_points,
     general_position_violation,
     in_convex_position,
-    orient,
 )
 from tricensus.triangulations import count_partial
+
+from oracles import orient
 
 
 def test_splitmix_is_deterministic():

@@ -5,9 +5,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from tricensus.geom import (
-    BOUNDARY,
-    INSIDE,
-    OUTSIDE,
     Point,
     PointSet,
     added_point_violation,
@@ -17,12 +14,11 @@ from tricensus.geom import (
     in_convex_position,
     integer_view,
     is_general_position,
-    orient,
     parse_points_text,
-    point_in_triangle,
-    segments_properly_cross,
 )
 from tricensus.generators import gen_double_circle, gen_random
+
+from oracles import BOUNDARY, INSIDE, OUTSIDE, orient, point_in_triangle, segments_properly_cross
 
 P = Point
 

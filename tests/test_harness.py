@@ -216,7 +216,7 @@ def test_cli_charvec_radial_prints_file_indices(tmp_path, capsys, monkeypatch):
     assert main(["charvec", str(target), "--radial", "--center", "2"]) == 0
     assert capsys.readouterr().out == "4 0 3\n4 1 3\n4 0 1 3\n"
     # no frame has a collision, so a made-up one (in frame positions) checks the mapping
-    monkeypatch.setattr(charvec, "find_charvec_collision", lambda frame: ((0, 1, 3), (0, 2, 3)))
+    monkeypatch.setattr(charvec, "find_charvec_collision", lambda frame, polygons: ((0, 1, 3), (0, 2, 3)))
     assert main(["charvec", str(target), "--radial", "--center", "2", "--check-psi"]) == 2
     assert capsys.readouterr().out == "collision: (4, 0, 3) and (4, 1, 3)\n"
 
@@ -235,6 +235,24 @@ def test_cli_charvec_check_psi_refuses_a_center_no_good_polygon_wraps(tmp_path, 
     assert main(["charvec", str(target), "--radial", "--center", "3"]) == 0
     assert capsys.readouterr() == ("", "")
     assert main(["charvec", str(target), "--radial", "--center", "6", "--check-psi"]) == 0
+    assert capsys.readouterr().out == "injective over 31 good polygons\n"
+
+
+def test_cli_charvec_check_psi_enumerates_the_good_polygons_once(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "dc8.pts"
+    save_point_set(target, gen_double_circle(4))
+    calls = []
+    enumerate_good_polygons = charvec.enumerate_good_polygons
+
+    def counted(frame):
+        calls.append(frame)
+        return enumerate_good_polygons(frame)
+
+    monkeypatch.setattr(charvec, "enumerate_good_polygons", counted)
+    for center, code in (("6", 0), ("3", 1)):
+        calls.clear()
+        assert main(["charvec", str(target), "--radial", "--center", center, "--check-psi"]) == code
+        assert len(calls) == 1
     assert capsys.readouterr().out == "injective over 31 good polygons\n"
 
 
