@@ -250,13 +250,15 @@ class PointSet:
 # ---------------------------------------------------------------------------
 
 # a coordinate is an integer or p/q with q > 0, in ASCII digits
-_COORD = re.compile(r"[-+]?[0-9]+(?:/0*[1-9][0-9]*)?")
+_COORD = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
 def _parse_coord(token: str) -> Fraction:
-    if not _COORD.fullmatch(token):
+    match = _COORD.fullmatch(token)
+    if not match:
         raise ValueError(f"bad coordinate {token!r}: expected an integer or p/q with q > 0")
-    return Fraction(token)
+    p, q = match.groups()
+    return Fraction(int(p), int(q or 1))
 
 
 def parse_points_text(text: str) -> list[Point]:

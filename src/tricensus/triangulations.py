@@ -30,15 +30,20 @@ The recursion has two modes:
   interior point inside the hull.
 
 In both modes the points inside a region follow from its boundary cycle, so
-one memo per call, keyed by the rotated cycle alone, serves the whole count.
+one memo per call serves the whole count.  Its key is the region's edge
+mask, one bit per directed boundary edge: a counter-clockwise cycle is
+determined by its edge set, so the mask names the cycle whatever vertex it
+starts at.  Each split derives its sub-regions' masks from the parent's in
+O(1) and hands them down, so a memo hit needs neither the cycle's edges nor
+its anchor rotation.
 
-The recursion reads integers only.  Built lazily, once per point set and
-order, from the orientation table: bitmasks of the points left of each
-directed pair, so that a triangle's interior is three ANDs; per-segment masks
-of the edges that properly cross it, ANDed with a region's edge mask; and,
-from integer (y, x) heights, the points whose rightward ray crosses each
-segment, so that the points inside a sub-polygon are a crossing-parity XOR
-over its edges.  Ordering heights by (y, x) instead of y is a consistent
+The recursion reads integers only.  Built once per point set and order, from
+the orientation table: bitmasks of the points left of each directed pair, so
+that a triangle's interior is three ANDs; per-segment masks of the directed
+edges that properly cross it, ANDed with a region's edge mask; and, from
+integer (y, x) heights, the points whose rightward ray crosses each segment,
+so that the points inside a sub-polygon are a crossing-parity XOR over its
+edges.  Ordering heights by (y, x) instead of y is a consistent
 symbolic tie-break (an infinitesimal shear, which changes no orientation), so
 points sharing a y coordinate need no special case.  The point order and
 the heights come from ``ps.xy``, whose positive scale keeps the (x, y) order
@@ -92,14 +97,6 @@ def _mask(indices) -> int:
     return out
 
 
-def _bits(mask: int):
-    """Indices of the set bits, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
-
-
 class _RegionTables:
     """The integer tables the region recursion reads, built once per point set
     and point order.
@@ -121,8 +118,22 @@ class _RegionTables:
         bit = [1 << r for r in rank]
         left = [[sum(b for b, s in zip(bit, tab[p][q]) if s > 0) for q in order]
                 for p in order]
-        # edge_bit[u][v]: the bit of the undirected edge uv in a region's edge mask
-        edge_bit = [[1 << (min(u, v) * n + max(u, v)) for v in range(n)] for u in range(n)]
+        # edge_bit[u][w]: the bit of the directed edge u -> w in a region's edge mask
+        edge_bit = [[1 << (u * n + w) for w in range(n)] for u in range(n)]
+        # cross[p][q]: the directed edges (c, d) that properly cross segment pq:
+        # d lies on the other side of pq than c, and left of exactly one of
+        # p -> c and q -> c, so p and q lie on opposite sides of cd
+        cross = [[0] * n for _ in range(n)]
+        for p in range(n):
+            left_p = left[p]
+            for q in range(p + 1, n):
+                left_q = left[q]
+                left_pq, left_qp = left_p[q], left_q[p]
+                mask = 0
+                for c in range(n):
+                    side = left_pq if left_qp >> c & 1 else left_qp if left_pq >> c & 1 else 0
+                    mask |= (side & (left_p[c] ^ left_q[c])) << c * n
+                cross[p][q] = cross[q][p] = mask
         # ray[u][v]: the ranks whose rightward ray crosses segment uv; a point
         # is level with a segment when its (y, x) height lies strictly between
         # the heights of the endpoints
@@ -141,26 +152,19 @@ class _RegionTables:
         self.rank = rank
         self.left = left
         self.edge_bit = edge_bit
+        self.cross = cross
         self.ray = ray
-        self._cross = [[None] * n for _ in range(n)]
 
-    def region(self, boundary, inside) -> tuple[tuple[int, ...], int]:
-        """A boundary cycle and inside points, given by index, in rank space."""
+    def region(self, boundary, inside) -> tuple[tuple[int, ...], int, int]:
+        """A boundary cycle and inside points, given by index, in rank space,
+        with the cycle's edge mask."""
         rank = self.rank
-        return tuple(rank[i] for i in boundary), _mask(rank[i] for i in inside)
-
-    def crossing(self, p: int, q: int) -> int:
-        """Edge mask of every segment that properly crosses segment pq."""
-        mask = self._cross[p][q]
-        if mask is None:
-            left, edge_bit = self.left, self.edge_bit
-            mask = 0
-            for c in _bits(left[p][q]):
-                for d in _bits(left[q][p]):
-                    if (left[c][d] >> p ^ left[c][d] >> q) & 1:
-                        mask |= edge_bit[c][d]
-            self._cross[p][q] = self._cross[q][p] = mask
-        return mask
+        cyc = tuple(rank[i] for i in boundary)
+        edge_bit = self.edge_bit
+        edges = 0
+        for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+            edges |= edge_bit[u][w]
+        return cyc, _mask(rank[i] for i in inside), edges
 
 
 def _tables(ps: PointSet, canonical: bool) -> _RegionTables:
@@ -194,40 +198,38 @@ def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
     return boundary[i:] + boundary[:i]
 
 
-def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, required: bool):
+def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: int,
+                   required: bool):
     """Yield (apex, sub1, sub2) for every valid anchor triangle of the region.
 
-    The anchor edge is (cyc[0], cyc[1]) and ``inside`` is the mask of the
-    points strictly inside the cycle.  In required mode the anchor triangle
-    may contain none of them; in optional mode it may, and they are left
-    unused.  Apexes come in the order cyc[2:], then inside points by
-    ascending rank.  Each sub-region is a (boundary, inside) pair, or None
-    when the split degenerates to a bare edge.
+    The anchor edge is (cyc[0], cyc[1]), ``inside`` is the mask of the points
+    strictly inside the cycle and ``edges`` is the cycle's edge mask.  In
+    required mode the anchor triangle may contain none of the inside points;
+    in optional mode it may, and they are left unused.  Apexes come in the
+    order cyc[2:], then inside points by ascending rank.  Each sub-region is a
+    (boundary, inside, edges) triple, its edge mask derived from ``edges``, or
+    None when the split degenerates to a bare edge.
     """
-    left, ray, edge_bit = t.left, t.ray, t.edge_bit
+    left, ray, cross, edge_bit = t.left, t.ray, t.cross, t.edge_bit
     a, b = cyc[0], cyc[1]
     k = len(cyc)
-    verts = edges = 0
-    for u, w in zip(cyc, cyc[1:] + cyc[:1]):
+    verts = 0
+    for u in cyc:
         verts |= 1 << u
-        edges |= edge_bit[u][w]
     blockers = verts | inside if required else verts
-    left_ab, left_b = left[a][b], left[b]
-    apexes = list(cyc[2:])
-    apexes.extend(_bits(inside & left_ab))
-    for v in apexes:
+    left_ab, left_b, cross_a, cross_b, bit_a = left[a][b], left[b], cross[a], cross[b], edge_bit[a]
+    # pre: the edges of the cycle from a up to the apex cyc[j]
+    pre = bit_a[b]
+    for j in range(2, k):
+        v = cyc[j]
+        pre |= edge_bit[cyc[j - 1]][v]
         if not left_ab >> v & 1:
             continue
         tri = left_ab & left_b[v] & left[v][a]
-        if tri & blockers or (t.crossing(a, v) | t.crossing(b, v)) & edges:
+        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:
             continue
         rest = inside & ~tri
-        if inside >> v & 1:
-            yield v, (cyc[1:] + (a, v), rest ^ 1 << v), None
-            continue
-        j = cyc.index(v)
         b1 = cyc[1:j + 1]
-        b2 = cyc[j:] + (a,)
         rest1 = 0
         if rest and j > 2:
             side = ray[v][b]
@@ -235,47 +237,57 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, required
                 side ^= ray[u][w]
             rest1 = rest & side
         yield (v,
-               (b1, rest1) if j > 2 else None,
-               (b2, rest ^ rest1) if j < k - 1 else None)
+               (b1, rest1, pre ^ bit_a[b] | edge_bit[v][b]) if j > 2 else None,
+               (cyc[j:] + (a,), rest ^ rest1, edges ^ pre | bit_a[v]) if j < k - 1 else None)
+    around = edges ^ bit_a[b]
+    todo = inside & left_ab
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        tri = left_ab & left_b[v] & left[v][a]
+        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:
+            continue
+        yield v, (cyc[1:] + (a, v), (inside & ~tri) ^ low, around | bit_a[v] | edge_bit[v][b]), None
 
 
-def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int,
+def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edges: int,
                   required: bool, memo) -> int:
     if len(boundary) == 3 and not inside:
         return 1
-    cyc = _anchor_rotation(boundary)
-    cached = memo.get(cyc)
+    cached = memo.get(edges)
     if cached is not None:
         return cached
     total = 0
-    for _, sub1, sub2 in _region_splits(t, cyc, inside, required):
+    for _, sub1, sub2 in _region_splits(t, _anchor_rotation(boundary), inside, edges, required):
         c = 1
         if sub1 is not None:
-            c = _count_region(t, sub1[0], sub1[1], required, memo)
+            c = _count_region(t, sub1[0], sub1[1], sub1[2], required, memo)
         if sub2 is not None and c:
-            c *= _count_region(t, sub2[0], sub2[1], required, memo)
+            c *= _count_region(t, sub2[0], sub2[1], sub2[2], required, memo)
         total += c
-    memo[cyc] = total
+    memo[edges] = total
     return total
 
 
-def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, memo) -> tuple:
+def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edges: int,
+                      memo) -> tuple:
     if len(boundary) == 3 and not inside:
         return ((tuple(sorted(boundary)),),)
-    cyc = _anchor_rotation(boundary)
-    cached = memo.get(cyc)
+    cached = memo.get(edges)
     if cached is not None:
         return cached
+    cyc = _anchor_rotation(boundary)
     out = []
-    for v, sub1, sub2 in _region_splits(t, cyc, inside, True):
+    for v, sub1, sub2 in _region_splits(t, cyc, inside, edges, True):
         tri = tuple(sorted((cyc[0], cyc[1], v)))
-        parts1 = _enumerate_region(t, sub1[0], sub1[1], memo) if sub1 is not None else ((),)
-        parts2 = _enumerate_region(t, sub2[0], sub2[1], memo) if sub2 is not None else ((),)
+        parts1 = _enumerate_region(t, *sub1, memo) if sub1 is not None else ((),)
+        parts2 = _enumerate_region(t, *sub2, memo) if sub2 is not None else ((),)
         for p1 in parts1:
             for p2 in parts2:
                 out.append((tri,) + p1 + p2)
     result = tuple(out)
-    memo[cyc] = result
+    memo[edges] = result
     return result
 
 
@@ -292,8 +304,7 @@ def count_on_subset(ps: PointSet, vertex_subset) -> int:
     """Number of triangulations of conv(M) using exactly the given vertices."""
     sub = _check_subset(ps, vertex_subset)
     t = _tables(ps, True)
-    boundary, inside = t.region(ps.hull, sub.difference(ps.hull))
-    return _count_region(t, boundary, inside, True, {})
+    return _count_region(t, *t.region(ps.hull, sub.difference(ps.hull)), True, {})
 
 
 def count_full(ps: PointSet) -> int:
@@ -304,8 +315,7 @@ def count_full(ps: PointSet) -> int:
 def count_partial(ps: PointSet) -> int:
     """Number of partial triangulations: one optional-mode region recursion."""
     t = _tables(ps, True)
-    boundary, inside = t.region(ps.hull, ps.interior)
-    return _count_region(t, boundary, inside, False, {})
+    return _count_region(t, *t.region(ps.hull, ps.interior), False, {})
 
 
 def _listing(ps: PointSet, interior_sets) -> list[Triangulation]:
@@ -319,10 +329,9 @@ def _listing(ps: PointSet, interior_sets) -> list[Triangulation]:
     hull = frozenset(ps.hull)
     out: list[Triangulation] = []
     for extra in interior_sets:
-        boundary, inside = t.region(ps.hull, extra)
         sub = hull | extra
         out.extend(Triangulation(sub, tuple(sorted(tris)))
-                   for tris in _enumerate_region(t, boundary, inside, {}))
+                   for tris in _enumerate_region(t, *t.region(ps.hull, extra), {}))
     return out
 
 

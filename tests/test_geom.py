@@ -206,7 +206,8 @@ def test_added_point_violation_exact_near_2_to_80():
     assert general_position_violation([new, at(3, 5), near]) is None
     assert general_position_violation([at(3, 5), new, near, at(6, 10)]) == (0, 1, 3)
     assert added_point_violation([at(1, 1), new], new) == (1,)
-    # rational coordinates near 2^80 take the cross-multiplied branch
+    # rational coordinates near 2^80 stay exact once the integer view scales them by
+    # the lcm of their denominators
     third = Fraction(1, 3)
     new = P(Fraction(big + 1, 3), Fraction(big, 7))
     assert added_point_violation([at(third, 1), at(big * third + third, big)], new) is None
@@ -343,6 +344,13 @@ def test_parse_points_text():
         with pytest.raises(ValueError) as exc:
             parse_points_text(f"# tricensus points v1\n{token} 0\n")
         assert str(exc.value) == f"bad coordinate {token!r}: expected an integer or p/q with q > 0"
+
+
+def test_parse_agrees_with_the_fraction_string_parser():
+    for token in ("0", "+3", "-0", "+0/7", "007/0010", "-12/4", "-5/1", "10/0003",
+                  "123456789012345678901234567890/98765432109876543210"):
+        text = f"# tricensus points v1\n{token} 1\n"
+        assert parse_points_text(text) == [P(Fraction(token), 1)], token
 
 
 def test_parse_rejects_missing_header_and_bad_tokens():

@@ -158,10 +158,10 @@ def _partial_states(ps, monkeypatch):
     memos = []
     engine = triangulations._count_region
 
-    def spy(t, boundary, inside, required, memo):
+    def spy(*args):
         if not memos:
-            memos.append(memo)
-        return engine(t, boundary, inside, required, memo)
+            memos.append(args[-1])
+        return engine(*args)
 
     with monkeypatch.context() as m:
         m.setattr(triangulations, "_count_region", spy)
@@ -188,3 +188,20 @@ def test_counts_and_work_do_not_depend_on_labels(monkeypatch):
             assert shuffled.points != ps.points
             assert _partial_states(shuffled, monkeypatch) == (partial, states), (k, seed)
             assert count_full(shuffled) == full, (k, seed)
+
+
+def test_counts_and_states_are_pinned(monkeypatch):
+    """Counts and memo sizes in the canonical order: a change to the region
+    engine that alters its anchors, its apexes or its set of states fails
+    here even when the counts still agree."""
+    pinned = {
+        (14, 7): (1301888, 2554),
+        (14, 8): (1311278, 1965),
+        (16, 7): (40381256, 10337),
+        (16, 8): (30879075, 8046),
+        (18, 7): (858062367, 25108),
+        (18, 8): (829065910, 29991),
+    }
+    for (n, seed), want in pinned.items():
+        assert _partial_states(gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
+    assert _partial_states(gen_double_circle(6), monkeypatch) == (16796, 304)

@@ -6,15 +6,17 @@ import tempfile
 from itertools import combinations
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.cli import main
 from tricensus.errors import SizeCapError
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, gen_random, generate
-from tricensus.geom import PointSet, save_point_set
+from tricensus.geom import Point, PointSet, is_general_position, save_point_set
 from tricensus.triangulations import (
     Triangulation,
+    _segments_cross,
+    _tables,
     brute_force_count,
     check_triangulation,
     count_full,
@@ -207,6 +209,25 @@ def test_full_count_never_below_hull_polygon_count(seed):
     # skipping interior points can only lose triangulations relative to partial
     assert count_partial(ps) >= count_full(ps)
     assert count_partial(ps) >= polygon_triangulation_count(len(ps.points))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=3, max_size=9,
+                unique=True),
+       st.booleans())
+def test_crossing_table_holds_exactly_the_properly_crossing_edges(coords, canonical):
+    """On a small grid many points share an x or a y coordinate."""
+    points = [Point(x, y) for x, y in coords]
+    assume(is_general_position(points))
+    ps = PointSet.from_points(points)
+    tab = ps.orient_table()
+    t = _tables(ps, canonical)
+    n = len(points)
+    index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
+    for p, q in combinations(range(n), 2):
+        want = sum(1 << (c * n + d) for c in range(n) for d in range(n)
+                   if _segments_cross(tab, index[p], index[q], index[c], index[d]))
+        assert t.cross[p][q] == t.cross[q][p] == want, (p, q)
 
 
 # SHA-256 of the stdout of `tricensus count <file> --mode <mode> --enumerate`
