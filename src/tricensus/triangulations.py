@@ -33,21 +33,23 @@ In both modes the points inside a region follow from its boundary cycle, so
 one memo per call serves the whole count.  Its key is the region's edge
 mask, one bit per directed boundary edge: a counter-clockwise cycle is
 determined by its edge set, so the mask names the cycle whatever vertex it
-starts at.  Each split derives its sub-regions' masks from the parent's in
-O(1) and hands them down, so a memo hit needs neither the cycle's edges nor
-its anchor rotation.
+starts at.  Each split derives its sub-regions' edge and inside masks from
+the parent's in O(1), from running prefixes along the cycle, and hands them
+down.  The recursion looks a sub-region up before it slices the sub-region's
+cycle, so a memo hit builds no tuple and needs no anchor rotation.
 
 The recursion reads integers only.  Built once per point set and order, from
-the orientation table: bitmasks of the points left of each directed pair, so
-that a triangle's interior is three ANDs; per-segment masks of the directed
-edges that properly cross it, ANDed with a region's edge mask; and, from
-integer (y, x) heights, the points whose rightward ray crosses each segment,
-so that the points inside a sub-polygon are a crossing-parity XOR over its
-edges.  Ordering heights by (y, x) instead of y is a consistent
-symbolic tie-break (an infinitesimal shear, which changes no orientation), so
-points sharing a y coordinate need no special case.  The point order and
-the heights come from ``ps.xy``, whose positive scale keeps the (x, y) order
-of the rationals.
+the integer coordinates ``ps.xy`` with one cross product per point triple:
+bitmasks of the points left of each directed pair, so that a triangle's
+interior is three ANDs; per-segment masks of the directed edges that
+properly cross it, ANDed with a region's edge mask; and, from integer (y, x)
+heights, the points whose rightward ray crosses each segment, so that the
+points inside a sub-polygon are a crossing-parity XOR over its edges.
+Ordering heights by (y, x) instead of y is a consistent symbolic tie-break
+(an infinitesimal shear, which changes no orientation), so points sharing a
+y coordinate need no special case.  The positive scale of ``ps.xy`` keeps
+the orientation signs and the (x, y) order of the rationals, so a count
+builds no orientation table; the oracles and ``check_triangulation`` do.
 
 ``brute_force_count`` is a deliberately independent oracle: it counts
 maximal pairwise-non-crossing edge sets by lexicographic backtracking over
@@ -108,16 +110,38 @@ class _RegionTables:
     """
 
     def __init__(self, ps: PointSet, order):
-        tab = ps.orient_table()
-        xy = ps.xy
+        xy = [ps.xy[i] for i in order]  # xy[r]: the integer coordinates of rank r
         n = len(xy)
         rank = [0] * n
         for r, i in enumerate(order):
             rank[i] = r
-        # left[p][q]: the ranks strictly left of the directed line p -> q
-        bit = [1 << r for r in rank]
-        left = [[sum(b for b, s in zip(bit, tab[p][q]) if s > 0) for q in order]
-                for p in order]
+        # left[p][q]: the ranks strictly left of the directed line p -> q, by the
+        # sign rule of ``PointSet.orient_table``.  One cross product per triple
+        # p < q < r sets three bits: r in left[p][q], p in left[q][r] and q in
+        # left[r][p] for a counter-clockwise turn, the reverses for a clockwise one
+        left = [[0] * n for _ in range(n)]
+        for p in range(n):
+            xp, yp = xy[p]
+            bit_p = 1 << p
+            left_p = left[p]
+            for q in range(p + 1, n):
+                dx, dy = xy[q][0] - xp, xy[q][1] - yp
+                bit_q = 1 << q
+                left_q = left[q]
+                pq = qp = 0
+                for r in range(q + 1, n):
+                    x, y = xy[r]
+                    turn = dx * (y - yp) - dy * (x - xp)
+                    if turn > 0:
+                        pq |= 1 << r
+                        left_q[r] |= bit_p
+                        left[r][p] |= bit_q
+                    elif turn < 0:
+                        qp |= 1 << r
+                        left[r][q] |= bit_p
+                        left_p[r] |= bit_q
+                left_p[q] |= pq
+                left_q[p] |= qp
         # edge_bit[u][w]: the bit of the directed edge u -> w in a region's edge mask
         edge_bit = [[1 << (u * n + w) for w in range(n)] for u in range(n)]
         # cross[p][q]: the directed edges (c, d) that properly cross segment pq:
@@ -137,7 +161,7 @@ class _RegionTables:
         # ray[u][v]: the ranks whose rightward ray crosses segment uv; a point
         # is level with a segment when its (y, x) height lies strictly between
         # the heights of the endpoints
-        by_height = sorted(range(n), key=lambda r: xy[order[r]][::-1])
+        by_height = sorted(range(n), key=lambda r: xy[r][::-1])
         below = [0]  # below[h]: the ranks of height < h
         for r in by_height:
             below.append(below[-1] | 1 << r)
@@ -200,45 +224,51 @@ def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
 
 def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: int,
                    required: bool):
-    """Yield (apex, sub1, sub2) for every valid anchor triangle of the region.
+    """Yield (apex, j, inside1, edges1, inside2, edges2) for every valid anchor
+    triangle of the region.
 
     The anchor edge is (cyc[0], cyc[1]), ``inside`` is the mask of the points
     strictly inside the cycle and ``edges`` is the cycle's edge mask.  In
     required mode the anchor triangle may contain none of the inside points;
     in optional mode it may, and they are left unused.  Apexes come in the
-    order cyc[2:], then inside points by ascending rank.  Each sub-region is a
-    (boundary, inside, edges) triple, its edge mask derived from ``edges``, or
-    None when the split degenerates to a bare edge.
+    order cyc[2:], then inside points by ascending rank.
+
+    A boundary apex cyc[j] splits the region into the sub-regions on the
+    cycles cyc[1:j + 1] and cyc[j:] + (cyc[0],), whose inside and edge masks
+    are (inside1, edges1) and (inside2, edges2); either cycle is a bare edge
+    when it has two vertices (j == 2 or j == len(cyc) - 1), and its masks are
+    then meaningless.  An inside apex has j == 0 and one sub-region, on the
+    cycle cyc[1:] + (cyc[0], apex), with masks (inside1, edges1).  Only the
+    masks are built here: a caller slices a cycle when its state is not
+    memoised yet.
     """
     left, ray, cross, edge_bit = t.left, t.ray, t.cross, t.edge_bit
     a, b = cyc[0], cyc[1]
-    k = len(cyc)
     verts = 0
     for u in cyc:
         verts |= 1 << u
     blockers = verts | inside if required else verts
     left_ab, left_b, cross_a, cross_b, bit_a = left[a][b], left[b], cross[a], cross[b], edge_bit[a]
-    # pre: the edges of the cycle from a up to the apex cyc[j]
+    ray_b = ray[b]
+    # pre: the edges of the cycle from a up to the apex v = cyc[j]; par: the
+    # points whose rightward ray crosses the path cyc[1..j] an odd number of
+    # times, so closing that path with the edge v -> b gives the points inside
     pre = bit_a[b]
-    for j in range(2, k):
+    par = 0
+    u = b
+    for j in range(2, len(cyc)):
         v = cyc[j]
-        pre |= edge_bit[cyc[j - 1]][v]
+        pre |= edge_bit[u][v]
+        par ^= ray[u][v]
+        u = v
         if not left_ab >> v & 1:
             continue
         tri = left_ab & left_b[v] & left[v][a]
         if tri & blockers or (cross_a[v] | cross_b[v]) & edges:
             continue
         rest = inside & ~tri
-        b1 = cyc[1:j + 1]
-        rest1 = 0
-        if rest and j > 2:
-            side = ray[v][b]
-            for u, w in zip(b1, b1[1:]):
-                side ^= ray[u][w]
-            rest1 = rest & side
-        yield (v,
-               (b1, rest1, pre ^ bit_a[b] | edge_bit[v][b]) if j > 2 else None,
-               (cyc[j:] + (a,), rest ^ rest1, edges ^ pre | bit_a[v]) if j < k - 1 else None)
+        rest1 = rest & (par ^ ray_b[v])
+        yield v, j, rest1, pre ^ bit_a[b] | edge_bit[v][b], rest ^ rest1, edges ^ pre | bit_a[v]
     around = edges ^ bit_a[b]
     todo = inside & left_ab
     while todo:
@@ -248,23 +278,42 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: i
         tri = left_ab & left_b[v] & left[v][a]
         if tri & blockers or (cross_a[v] | cross_b[v]) & edges:
             continue
-        yield v, (cyc[1:] + (a, v), (inside & ~tri) ^ low, around | bit_a[v] | edge_bit[v][b]), None
+        yield v, 0, (inside & ~tri) ^ low, around | bit_a[v] | edge_bit[v][b], 0, 0
 
 
 def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edges: int,
                   required: bool, memo) -> int:
+    """The number of triangulations of a region that is not in ``memo`` yet;
+    the count is stored there under ``edges``.
+
+    Sub-regions are looked up before their cycles are sliced, and a bare edge
+    or a bare triangle is never a state.
+    """
     if len(boundary) == 3 and not inside:
         return 1
-    cached = memo.get(edges)
-    if cached is not None:
-        return cached
+    cyc = _anchor_rotation(boundary)
+    a = cyc[0]
+    k = len(cyc)
     total = 0
-    for _, sub1, sub2 in _region_splits(t, _anchor_rotation(boundary), inside, edges, required):
+    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, required):
+        if not j:
+            c = memo.get(edges1)
+            if c is None:
+                c = _count_region(t, cyc[1:] + (a, v), inside1, edges1, required, memo)
+            total += c
+            continue
+        # the sub-cycles have j and k - j + 1 vertices; a bare edge or an empty
+        # triangle counts 1
         c = 1
-        if sub1 is not None:
-            c = _count_region(t, sub1[0], sub1[1], sub1[2], required, memo)
-        if sub2 is not None and c:
-            c *= _count_region(t, sub2[0], sub2[1], sub2[2], required, memo)
+        if inside1 or j > 3:
+            c = memo.get(edges1)
+            if c is None:
+                c = _count_region(t, cyc[1:j + 1], inside1, edges1, required, memo)
+        if inside2 or j < k - 2:
+            c2 = memo.get(edges2)
+            if c2 is None:
+                c2 = _count_region(t, cyc[j:] + (a,), inside2, edges2, required, memo)
+            c *= c2
         total += c
     memo[edges] = total
     return total
@@ -272,17 +321,29 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
 
 def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edges: int,
                       memo) -> tuple:
+    """Every triangulation of a region that is not in ``memo`` yet, in required
+    mode; the listing is stored there under ``edges``."""
     if len(boundary) == 3 and not inside:
         return ((tuple(sorted(boundary)),),)
-    cached = memo.get(edges)
-    if cached is not None:
-        return cached
     cyc = _anchor_rotation(boundary)
+    a, b = cyc[0], cyc[1]
+    k = len(cyc)
     out = []
-    for v, sub1, sub2 in _region_splits(t, cyc, inside, edges, True):
-        tri = tuple(sorted((cyc[0], cyc[1], v)))
-        parts1 = _enumerate_region(t, *sub1, memo) if sub1 is not None else ((),)
-        parts2 = _enumerate_region(t, *sub2, memo) if sub2 is not None else ((),)
+    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, True):
+        tri = tuple(sorted((a, b, v)))
+        parts1 = parts2 = ((),)
+        if not j:
+            parts1 = memo.get(edges1)
+            if parts1 is None:
+                parts1 = _enumerate_region(t, cyc[1:] + (a, v), inside1, edges1, memo)
+        elif j > 2:
+            parts1 = memo.get(edges1)
+            if parts1 is None:
+                parts1 = _enumerate_region(t, cyc[1:j + 1], inside1, edges1, memo)
+        if 0 < j < k - 1:
+            parts2 = memo.get(edges2)
+            if parts2 is None:
+                parts2 = _enumerate_region(t, cyc[j:] + (a,), inside2, edges2, memo)
         for p1 in parts1:
             for p2 in parts2:
                 out.append((tri,) + p1 + p2)

@@ -18,7 +18,13 @@ from tricensus.catalan import polygon_triangulation_count
 from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
 from tricensus.geom import Point, PointSet, is_general_position
 from tricensus import triangulations
-from tricensus.triangulations import brute_force_count, count_full, count_partial
+from tricensus.triangulations import (
+    _region_splits,
+    _tables,
+    brute_force_count,
+    count_full,
+    count_partial,
+)
 
 
 def _segments_cross(tab, a, b, c, d):
@@ -153,8 +159,57 @@ def test_shared_y_coordinates(ps):
         assert count_full(ps) == brute_force_count(ps)
 
 
-def _partial_states(ps, monkeypatch):
-    """count_partial and the number of region states in its memo."""
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=9,
+                unique=True),
+       st.booleans(), st.booleans())
+def test_split_masks_describe_their_sub_regions(coords, required, canonical):
+    """Every sub-region reachable from the hull, as ``_region_splits`` hands
+    it down: its inside mask holds exactly the interior points strictly
+    inside its cycle, by crossing parity on the orientation table, and its
+    edge mask holds exactly the cycle's directed edges.  On a small grid many
+    points share an x or a y coordinate."""
+    points = [Point(x, y) for x, y in coords]
+    assume(is_general_position(points))
+    ps = PointSet.from_points(points)
+    tab = ps.orient_table()
+    t = _tables(ps, canonical)
+    n = len(points)
+    index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
+    interior_ranks = [t.rank[i] for i in ps.interior]
+
+    def check(cycle, inside, edges):
+        on_cycle = set(cycle)
+        want = sum(1 << r for r in interior_ranks if r not in on_cycle
+                   and _point_in_cycle(ps.points, tab, [index[u] for u in cycle], index[r]))
+        assert inside == want, (cycle, inside, want)
+        k = len(cycle)
+        assert edges == sum(1 << (cycle[m] * n + cycle[(m + 1) % k]) for m in range(k)), cycle
+
+    seen = set()
+    todo = [t.region(ps.hull, ps.interior)]
+    while todo:
+        cycle, inside, edges = todo.pop()
+        check(cycle, inside, edges)
+        if edges in seen or (len(cycle) == 3 and not inside):
+            continue
+        seen.add(edges)
+        cyc = _anchor_rotation(cycle)
+        a, k = cyc[0], len(cyc)
+        for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges,
+                                                                     required):
+            if not j:
+                todo.append((cyc[1:] + (a, v), inside1, edges1))
+                continue
+            if j > 2:
+                todo.append((cyc[1:j + 1], inside1, edges1))
+            if j < k - 1:
+                todo.append((cyc[j:] + (a,), inside2, edges2))
+    assert seen
+
+
+def _states(count, ps, monkeypatch):
+    """``count(ps)`` and the number of region states in its memo."""
     memos = []
     engine = triangulations._count_region
 
@@ -165,8 +220,8 @@ def _partial_states(ps, monkeypatch):
 
     with monkeypatch.context() as m:
         m.setattr(triangulations, "_count_region", spy)
-        count = count_partial(ps)
-    return count, len(memos[0])
+        total = count(ps)
+    return total, len(memos[0])
 
 
 def _relabelled(ps, seed):
@@ -180,13 +235,13 @@ def test_counts_and_work_do_not_depend_on_labels(monkeypatch):
     sets += [gen_double_circle(m) for m in range(3, 7)]
     sets += [gen_quasi_convex(7, (0, 2, 5)), gen_quasi_convex(8, (0, 1, 3, 6))]
     for k, ps in enumerate(sets):
-        partial, states = _partial_states(ps, monkeypatch)
+        partial, states = _states(count_partial, ps, monkeypatch)
         full = count_full(ps)
         assert states > 0
         for seed in range(3):
             shuffled = _relabelled(ps, 100 * k + seed)
             assert shuffled.points != ps.points
-            assert _partial_states(shuffled, monkeypatch) == (partial, states), (k, seed)
+            assert _states(count_partial, shuffled, monkeypatch) == (partial, states), (k, seed)
             assert count_full(shuffled) == full, (k, seed)
 
 
@@ -203,5 +258,22 @@ def test_counts_and_states_are_pinned(monkeypatch):
         (18, 8): (829065910, 29991),
     }
     for (n, seed), want in pinned.items():
-        assert _partial_states(gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
-    assert _partial_states(gen_double_circle(6), monkeypatch) == (16796, 304)
+        assert _states(count_partial, gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
+    assert _states(count_partial, gen_double_circle(6), monkeypatch) == (16796, 304)
+
+
+def test_required_counts_and_states_are_pinned(monkeypatch):
+    """Required mode's counts and memo sizes, pinned as optional mode's are
+    above: ``count_full`` is one required-mode recursion with every interior
+    point inside the hull."""
+    pinned = {
+        (14, 7): (225724, 1687),
+        (14, 8): (281609, 1673),
+        (16, 7): (5088447, 5834),
+        (16, 8): (4515847, 5687),
+        (18, 7): (71097617, 12743),
+        (18, 8): (109010879, 19835),
+    }
+    for (n, seed), want in pinned.items():
+        assert _states(count_full, gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
+    assert _states(count_full, gen_double_circle(6), monkeypatch) == (2236, 304)

@@ -230,6 +230,34 @@ def test_crossing_table_holds_exactly_the_properly_crossing_edges(coords, canoni
         assert t.cross[p][q] == t.cross[q][p] == want, (p, q)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=3, max_size=9,
+                unique=True),
+       st.booleans())
+def test_left_masks_follow_the_orientation_table(coords, canonical):
+    """The left masks, built from the integer view, hold exactly the points
+    the orientation table puts strictly left of each directed line."""
+    points = [Point(x, y) for x, y in coords]
+    assume(is_general_position(points))
+    ps = PointSet.from_points(points)
+    t = _tables(ps, canonical)
+    tab = ps.orient_table()
+    n = len(points)
+    index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
+    for p in range(n):
+        for q in range(n):
+            want = sum(1 << r for r in range(n) if tab[index[p]][index[q]][index[r]] > 0)
+            assert t.left[p][q] == want, (p, q)
+
+
+def test_counts_build_no_orientation_table():
+    for ps in (gen_random(12, 64, seed=5), gen_double_circle(5)):
+        count_partial(ps)
+        count_full(ps)
+        assert "orient" not in ps._cache
+        assert "regions" in ps._cache
+
+
 # SHA-256 of the stdout of `tricensus count <file> --mode <mode> --enumerate`
 # for `tricensus gen` outputs, with the count it prints on stderr.  The
 # enumerators list in input index order, so a change to the counting order or
