@@ -2,7 +2,9 @@
 
 Exit codes: 0 when every mathematical check passed, 2 when a check failed
 (a counterexample or an implementation bug), 1 on usage or I/O errors.  A
-``verify`` run that checked no instance writes its report, then exits 1.
+``verify`` run that checked no instance writes its report, then exits 1.  When
+the reader of stdout closes the pipe early, as ``| head`` does, the command
+exits 1 without a message.
 """
 
 from __future__ import annotations
@@ -10,7 +12,9 @@ from __future__ import annotations
 import argparse
 import functools
 import glob
+import io
 import json
+import os
 import sys
 
 from . import charvec, harness
@@ -109,8 +113,9 @@ def _cmd_count(args) -> int:
         tris = enumerate_full(ps) if args.mode == "full" else enumerate_partial(ps)
         # a listing repeats at most C(n, 3) triangles: format each one once
         text = _TriangleText()
+        write = sys.stdout.write
         for t in tris:
-            print(" ".join(map(text.__getitem__, t.triangles)))
+            write(" ".join(map(text.__getitem__, t.triangles)) + "\n")
         print(len(tris), file=sys.stderr)
         return 0
     count = count_full(ps) if args.mode == "full" else count_partial(ps)
@@ -249,10 +254,28 @@ _COMMANDS = {
 }
 
 
+def _discard_stdout() -> None:
+    """Point stdout's file descriptor at the null device, so that the flush at
+    interpreter shutdown has no closed pipe to fail on; a stdout without a
+    file descriptor is left as it is."""
+    try:
+        fd = sys.stdout.fileno()
+    except io.UnsupportedOperation:
+        return
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, fd)
+    finally:
+        os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
+    except BrokenPipeError:  # the reader of stdout went away, as `| head` does
+        _discard_stdout()
+        return 1
     except SizeCapError as exc:
         print(f"tricensus: refused: {exc}", file=sys.stderr)
         return 1

@@ -17,7 +17,12 @@ use a canonical order, the interior points by (x, y) and then the hull
 vertices by (x, y), so the anchors, the apex order and the memo, and with
 them the work of a count, depend on the points and not on how the input
 labels them.  The enumerators use the identity order, so ranks are input
-indices and listings come out in input index order.
+indices and listings come out in input index order.  In that order a
+triangle's ascending ranks are the index triple a listing prints, so the
+enumerators take every triangle from one table of shared tuples, built once
+per number of points: a listing and the sub-listings memoised on the way
+hold one tuple object per distinct triangle, not one per occurrence.  The
+counts never build that table.
 
 The recursion has two modes:
 
@@ -59,8 +64,9 @@ edges.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, permutations
 
 from .errors import SizeCapError
 from .geom import PointSet
@@ -107,9 +113,12 @@ class _RegionTables:
     rank of point i.  Every mask, cycle and apex the recursion sees is in rank
     space, so the anchor edge, the apex order and the memo key all follow
     ``order``.
+
+    ``triangle`` is ``_triangle_table(n)`` in the identity order, whose ranks
+    are the indices a listing prints, and None in the canonical order.
     """
 
-    def __init__(self, ps: PointSet, order):
+    def __init__(self, ps: PointSet, order, triangle):
         xy = [ps.xy[i] for i in order]  # xy[r]: the integer coordinates of rank r
         n = len(xy)
         rank = [0] * n
@@ -174,6 +183,7 @@ class _RegionTables:
                 if height[u] < height[v]:
                     ray[u][v] = ray[v][u] = (below[height[v]] ^ below[height[u] + 1]) & left[u][v]
         self.rank = rank
+        self.triangle = triangle
         self.left = left
         self.edge_bit = edge_bit
         self.cross = cross
@@ -204,11 +214,24 @@ def _tables(ps: PointSet, canonical: bool) -> _RegionTables:
     if tables is None:
         if canonical:
             xy = ps.xy.__getitem__
-            order = sorted(ps.interior, key=xy) + sorted(ps.hull, key=xy)
+            tables = _RegionTables(ps, sorted(ps.interior, key=xy) + sorted(ps.hull, key=xy), None)
         else:
-            order = range(len(ps.points))
-        tables = ps._cache[key] = _RegionTables(ps, order)
+            n = len(ps.points)
+            tables = _RegionTables(ps, range(n), _triangle_table(n))
+        ps._cache[key] = tables
     return tables
+
+
+@functools.cache
+def _triangle_table(n: int) -> tuple:
+    """``table[a][b][c]``: the ascending tuple of the distinct ranks a, b, c < n,
+    one object for all six orderings, so that the listings built from it hold
+    each distinct triangle once.  Cells with a repeated rank are None."""
+    table = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for tri in combinations(range(n), 3):
+        for a, b, c in permutations(tri):
+            table[a][b][c] = tri
+    return tuple(tuple(map(tuple, plane)) for plane in table)
 
 
 def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
@@ -322,31 +345,45 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
 def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edges: int,
                       memo) -> tuple:
     """Every triangulation of a region that is not in ``memo`` yet, in required
-    mode; the listing is stored there under ``edges``."""
+    mode; the listing is stored there under ``edges``.
+
+    Each triangulation is a tuple of triangles from ``t.triangle``, the anchor
+    triangle first, then the first sub-region's triangles, then the second's.
+    """
+    triangle = t.triangle
     if len(boundary) == 3 and not inside:
-        return ((tuple(sorted(boundary)),),)
+        return ((triangle[boundary[0]][boundary[1]][boundary[2]],),)
     cyc = _anchor_rotation(boundary)
     a, b = cyc[0], cyc[1]
+    triangle_ab = triangle[a][b]
     k = len(cyc)
     out = []
     for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, True):
-        tri = tuple(sorted((a, b, v)))
-        parts1 = parts2 = ((),)
+        tri = (triangle_ab[v],)
         if not j:
             parts1 = memo.get(edges1)
             if parts1 is None:
                 parts1 = _enumerate_region(t, cyc[1:] + (a, v), inside1, edges1, memo)
-        elif j > 2:
+            out += [tri + p1 for p1 in parts1]
+            continue
+        # a sub-cycle of two vertices (j == 2, or j == k - 1) is a bare edge
+        # and adds no triangle
+        if j > 2:
             parts1 = memo.get(edges1)
             if parts1 is None:
                 parts1 = _enumerate_region(t, cyc[1:j + 1], inside1, edges1, memo)
-        if 0 < j < k - 1:
+        if j < k - 1:
             parts2 = memo.get(edges2)
             if parts2 is None:
                 parts2 = _enumerate_region(t, cyc[j:] + (a,), inside2, edges2, memo)
-        for p1 in parts1:
-            for p2 in parts2:
-                out.append((tri,) + p1 + p2)
+            if j > 2:
+                out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
+            else:
+                out += [tri + p2 for p2 in parts2]
+        elif j > 2:
+            out += [tri + p1 for p1 in parts1]
+        else:
+            out.append(tri)
     result = tuple(out)
     memo[edges] = result
     return result
@@ -391,8 +428,8 @@ def _listing(ps: PointSet, interior_sets) -> list[Triangulation]:
     out: list[Triangulation] = []
     for extra in interior_sets:
         sub = hull | extra
-        out.extend(Triangulation(sub, tuple(sorted(tris)))
-                   for tris in _enumerate_region(t, *t.region(ps.hull, extra), {}))
+        out += [Triangulation(sub, tuple(sorted(tris)))
+                for tris in _enumerate_region(t, *t.region(ps.hull, extra), {})]
     return out
 
 

@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import os
 import subprocess
@@ -188,6 +189,40 @@ def test_cli_count_enumerate(tmp_path, capsys):
     assert {frozenset(line.split()) for line in out} == {
         frozenset({"0,1,2", "0,2,3"}), frozenset({"0,1,3", "1,2,3"})}
 
+
+
+class _ClosedPipe(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+def test_cli_listing_into_a_closed_pipe_exits_1_quietly(tmp_path, capsys, monkeypatch):
+    target = tmp_path / "dc5.pts"
+    save_point_set(target, gen_double_circle(5))
+    monkeypatch.setattr(sys, "stdout", _ClosedPipe())
+    assert main(["count", str(target), "--mode", "partial", "--enumerate"]) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_cli_listing_piped_into_head_exits_1_quietly(tmp_path):
+    """A real pipe closed after one line, as `| head -1` closes it.  The
+    listing (about 400 kB) outgrows the pipe's buffer, so the command meets
+    the closed pipe while it writes, then exits through the interpreter's
+    shutdown with nothing on stderr."""
+    target = tmp_path / "random11.pts"
+    save_point_set(target, generate(GenSpec("random", 11, seed=5)))
+    env = dict(os.environ, PYTHONPATH=str(Path(tricensus.__file__).resolve().parents[1]))
+    with subprocess.Popen([sys.executable, "-m", "tricensus", "count", str(target),
+                           "--mode", "partial", "--enumerate"],
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert first == b"0,2,7 0,2,8 0,3,5 0,3,8 0,7,9\n"
+    assert (code, err) == (1, b"")
 
 def test_cli_charvec_polyline(tmp_path, capsys):
     target = tmp_path / "frame.pts"

@@ -13,6 +13,7 @@ from tricensus.cli import main
 from tricensus.errors import SizeCapError
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, gen_random, generate
 from tricensus.geom import Point, PointSet, is_general_position, save_point_set
+from tricensus import triangulations
 from tricensus.triangulations import (
     Triangulation,
     _segments_cross,
@@ -257,6 +258,64 @@ def test_counts_build_no_orientation_table():
         assert "orient" not in ps._cache
         assert "regions" in ps._cache
 
+
+
+def _listing_work(enumerate_all, ps, monkeypatch):
+    """The length of ``enumerate_all(ps)`` and the number of region states in
+    the memos of its region recursions, summed over its interior subsets (one
+    memo each)."""
+    memos = {}
+    engine = triangulations._enumerate_region
+
+    def spy(*args):
+        memos.setdefault(id(args[-1]), args[-1])
+        return engine(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(triangulations, "_enumerate_region", spy)
+        listed = len(enumerate_all(ps))
+    return listed, sum(map(len, memos.values()))
+
+
+def test_listing_work_is_pinned(monkeypatch):
+    """Listing lengths and memo sizes of both enumerators in the identity
+    order: a change to how listings are built that alters the anchors, the
+    apexes or the set of states fails here even when the listings agree."""
+    pinned = {  # (n, seed): ((full, states), (partial, states))
+        (9, 7): ((162, 88), (570, 471)),
+        (9, 8): ((436, 153), (717, 280)),
+        (11, 7): ((3133, 478), (13303, 5408)),
+        (11, 8): ((6640, 991), (12639, 2595)),
+        (12, 7): ((15959, 1382), (74640, 19595)),
+        (12, 8): ((15541, 1638), (51863, 10803)),
+    }
+    for (n, seed), want in pinned.items():
+        ps = gen_random(n, 256, seed)
+        got = tuple(_listing_work(e, ps, monkeypatch) for e in (enumerate_full, enumerate_partial))
+        assert got == want, (n, seed)
+    ps = gen_double_circle(6)
+    assert _listing_work(enumerate_full, ps, monkeypatch) == (2236, 565)
+    assert _listing_work(enumerate_partial, ps, monkeypatch) == (16796, 7718)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=10), seed=st.integers(min_value=0, max_value=10_000),
+       partial=st.booleans())
+def test_listings_share_one_ascending_tuple_per_triangle(n, seed, partial):
+    """Every listed triangle is an ascending index triple, every
+    triangulation lists its triangles in strictly ascending order, and equal
+    triangles in one listing are one tuple object, so a listing's memory
+    holds each distinct triangle once."""
+    ps = gen_random(n, 32, seed=seed)
+    tris = enumerate_partial(ps) if partial else enumerate_full(ps)
+    listed = [tri for t in tris for tri in t.triangles]
+    assert all(a < b < c for a, b, c in listed)
+    assert all(all(s < u for s, u in zip(t.triangles, t.triangles[1:])) for t in tris)
+    assert len({id(tri) for tri in listed}) == len(set(listed))
+    # only the identity order, whose ranks are indices, carries the shared triples
+    count_partial(ps)
+    assert _tables(ps, True).triangle is None
+    assert _tables(ps, False).triangle is not None
 
 # SHA-256 of the stdout of `tricensus count <file> --mode <mode> --enumerate`
 # for `tricensus gen` outputs, with the count it prints on stderr.  The
