@@ -45,11 +45,8 @@ from .generators import (
 from .geom import (
     Point,
     PointSet,
-    added_point_violation,
     convex_hull,
     general_position_violation,
-    in_convex_position,
-    is_general_position,
     load_point_set,
     save_point_set,
 )

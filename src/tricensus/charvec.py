@@ -90,10 +90,11 @@ class AngleFrame:
 def build_angle_frame(apex: Point, left_arm: Point, right_arm: Point, pts) -> AngleFrame:
     """Validate the configuration and sort the interior points angularly."""
     pts = list(pts)
-    witness = general_position_violation([apex, left_arm, right_arm, *pts])
+    view = integer_view([apex, left_arm, right_arm, *pts])
+    witness = general_position_violation(view)
     if witness is not None:
         raise ValueError(f"frame points not in general position: indices {witness}")
-    a, left, right, *xy = integer_view([apex, left_arm, right_arm, *pts])
+    a, left, right, *xy = view
     s = turn(a, left, right)
     for p, q in zip(pts, xy):
         if turn(a, left, q) != s or turn(a, right, q) != -s:
@@ -215,19 +216,14 @@ class RadialFrame:
     The order starts at ``reference``, the first direction from the fixed
     sequence (0,-1), (1,0), (1,-1), (1,-2), ... that is parallel to no
     center-to-point ray.  ``xy`` and ``center_xy`` are the :func:`integer_view`
-    of the points and the center, built with the frame.
+    of the points and the center, which :func:`build_radial_frame` builds once.
     """
 
     center: Point
     points: tuple[Point, ...]
     reference: tuple[int, int]
-    xy: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
-    center_xy: tuple[int, int] = field(init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        *xy, c = integer_view((*self.points, self.center))
-        object.__setattr__(self, "xy", tuple(xy))
-        object.__setattr__(self, "center_xy", c)
+    xy: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    center_xy: tuple[int, int] = field(compare=False, repr=False)
 
 
 def _reference_direction(center: tuple[int, int], xy) -> tuple[int, int]:
@@ -246,10 +242,11 @@ def _reference_direction(center: tuple[int, int], xy) -> tuple[int, int]:
 
 def build_radial_frame(center: Point, pts) -> RadialFrame:
     pts = list(pts)
-    witness = general_position_violation([center, *pts])
+    view = integer_view([center, *pts])
+    witness = general_position_violation(view)
     if witness is not None:
         raise ValueError(f"frame points not in general position: indices {witness}")
-    c, *xy = integer_view([center, *pts])
+    c, *xy = view
     ref = _reference_direction(c, xy)
     cx, cy = c
 
@@ -264,7 +261,7 @@ def build_radial_frame(center: Point, pts) -> RadialFrame:
         return -turn(c, xy[i], xy[j])
 
     order = sorted(range(len(pts)), key=cmp_to_key(cmp))
-    return RadialFrame(center, tuple(pts[i] for i in order), ref)
+    return RadialFrame(center, tuple(pts[i] for i in order), ref, tuple(xy[i] for i in order), c)
 
 
 def is_good_polygon(frame: RadialFrame, vertices) -> bool:

@@ -110,8 +110,7 @@ def _convex_ring(n: int, radius: int, rng: SplitMix64) -> list[Point]:
     return pts
 
 
-def _is_strictly_convex_ring(pts: list[Point]) -> bool:
-    xy = integer_view(pts)
+def _is_strictly_convex_ring(xy) -> bool:
     n = len(xy)
     return all(turn(xy[m - 1], xy[m], xy[(m + 1) % n]) == 1 for m in range(n))
 
@@ -123,7 +122,8 @@ def gen_convex(n: int, scale: int = 64, seed: int = 0) -> PointSet:
     radius = max(scale, n)
     for attempt in range(96):
         pts = _convex_ring(n, radius, rng)
-        if _is_strictly_convex_ring(pts) and general_position_violation(pts) is None:
+        xy = integer_view(pts)
+        if _is_strictly_convex_ring(xy) and general_position_violation(xy) is None:
             return PointSet.from_points(pts)
         if attempt % 8 == 7:
             radius *= 2

@@ -6,10 +6,12 @@ floating point anywhere.  Every sign is decided on one exact integer view of
 the points, :func:`integer_view`: every coordinate times the lcm of all
 denominators.  A positive scale keeps every orientation sign, equality and
 the (x, y) order, so a cross product of integer pairs decides what the same
-product of the rationals decides; integer inputs stay as they are.  Each
-:class:`PointSet` carries its view as ``xy`` (O(n) memory), and
-:func:`convex_hull`, :meth:`PointSet.orient_table`, closeness and counting
-read it.  :func:`turn` is the three-point sign on integer pairs.
+product of the rationals decides; integer inputs stay as they are.  The
+predicates take that view: :func:`turn`, :func:`convex_hull`,
+:func:`added_xy_violation` and :func:`general_position_violation` read
+integer pairs, and each collection builds its view once, where its points
+enter.  A :class:`PointSet` carries its view as ``xy`` (O(n) memory), and
+:meth:`PointSet.orient_table`, closeness and counting read it.
 
 Point sets are validated to be in general position (pairwise distinct, no
 three collinear) when built through :meth:`PointSet.from_points`; every
@@ -41,9 +43,9 @@ POINTS_HEADER = "# tricensus points v1"
 def _coord(value) -> Fraction:
     if isinstance(value, Fraction):
         return value
-    if isinstance(value, (int, str)):
+    if isinstance(value, int):
         return Fraction(value)
-    raise TypeError(f"coordinate must be int, str or Fraction, got {type(value).__name__}")
+    raise TypeError(f"coordinate must be int or Fraction, got {type(value).__name__}")
 
 
 @dataclass(frozen=True)
@@ -85,16 +87,16 @@ def turn(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
     return (v > 0) - (v < 0)
 
 
-def convex_hull(points: list[Point] | tuple[Point, ...]) -> list[int]:
-    """Counter-clockwise hull cycle as indices, starting at the lexicographically smallest point.
+def convex_hull(xy) -> list[int]:
+    """Counter-clockwise hull cycle of integer pairs as indices, starting at the
+    lexicographically smallest pair.
 
     Only strict hull vertices are reported; points interior to a hull edge
     are dropped.  Raises ValueError on fewer than 3 points, duplicate points
     or an entirely collinear input.
     """
-    if len(points) < 3:
+    if len(xy) < 3:
         raise ValueError("convex hull needs at least 3 points")
-    xy = integer_view(points)
     order = sorted(range(len(xy)), key=xy.__getitem__)
     for s, t in zip(order, order[1:]):
         if xy[s] == xy[t]:
@@ -118,14 +120,6 @@ def convex_hull(points: list[Point] | tuple[Point, ...]) -> list[int]:
     if len(hull) < 3:
         raise ValueError("all points are collinear")
     return hull
-
-
-def in_convex_position(points: list[Point] | tuple[Point, ...]) -> bool:
-    """True iff every point is a vertex of the common convex hull."""
-    try:
-        return len(convex_hull(points)) == len(points)
-    except ValueError:
-        return False
 
 
 def added_xy_violation(xy, new: tuple[int, int]) -> tuple[int, ...] | None:
@@ -153,27 +147,14 @@ def added_xy_violation(xy, new: tuple[int, int]) -> tuple[int, ...] | None:
     return pair
 
 
-def added_point_violation(points, new: Point) -> tuple[int, ...] | None:
-    """:func:`added_xy_violation` for ``Point`` values, decided on the
-    :func:`integer_view` of ``points`` and ``new`` together."""
-    *xy, new_xy = integer_view((*points, new))
-    return added_xy_violation(xy, new_xy)
-
-
-def general_position_violation(points) -> tuple[int, ...] | None:
-    """Ascending duplicate pair or collinear triple ending at the first index
-    that breaks general position, or None."""
-    xy = integer_view(points)
+def general_position_violation(xy) -> tuple[int, ...] | None:
+    """Ascending duplicate pair or collinear triple of integer pairs ending at
+    the first index that breaks general position, or None."""
     for k in range(1, len(xy)):
         witness = added_xy_violation(xy[:k], xy[k])
         if witness is not None:
             return (*witness, k)
     return None
-
-
-def is_general_position(points) -> bool:
-    """True iff all points are distinct and no three are collinear."""
-    return general_position_violation(points) is None
 
 
 @dataclass(frozen=True)
@@ -182,39 +163,34 @@ class PointSet:
 
     ``hull`` traces the convex hull counter-clockwise; ``interior`` holds the
     remaining indices in increasing order; ``xy`` is the points'
-    :func:`integer_view`, built with the set.  Build through
-    :meth:`from_points` to get the general-position validation; the raw
-    constructor trusts its caller.
+    :func:`integer_view`.  Build through :meth:`from_points`, which builds
+    the view once, validates general position and takes the hull on it; the
+    raw constructor takes ``xy`` as given and trusts its caller.
     """
 
     points: tuple[Point, ...]
     hull: tuple[int, ...]
     interior: tuple[int, ...]
-    xy: tuple[tuple[int, int], ...] = field(init=False, compare=False, repr=False)
+    xy: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "xy", integer_view(self.points))
 
     @classmethod
     def from_points(cls, points) -> "PointSet":
         pts = tuple(points)
         if len(pts) < 3:
             raise ValueError("a point set needs at least 3 points")
-        witness = general_position_violation(pts)
+        xy = integer_view(pts)
+        witness = general_position_violation(xy)
         if witness is not None:
             kind = "duplicate points" if len(witness) == 2 else "collinear points"
             raise ValueError(f"not in general position: {kind} at indices {witness}")
-        hull = tuple(convex_hull(pts))
+        hull = tuple(convex_hull(xy))
         interior = tuple(sorted(set(range(len(pts))) - set(hull)))
-        return cls(pts, hull, interior)
+        return cls(pts, hull, interior, xy)
 
     @classmethod
     def from_coords(cls, coords) -> "PointSet":
         return cls.from_points([Point(x, y) for x, y in coords])
-
-    def __len__(self) -> int:
-        return len(self.points)
 
     def hull_sides(self) -> tuple[tuple[int, int], ...]:
         """Hull edges as counter-clockwise index pairs."""

@@ -198,7 +198,7 @@ def run_corpus(cfg: RunConfig) -> CorpusReport:
                   + [load_point_set(path) for path in cfg.input_files])
     caps = itertools.repeat(cfg.cap)
     if cfg.jobs > 1 and len(ids) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(point_sets))) as pool:
             verdicts = list(pool.map(verify_instance, point_sets, ids, caps))
     else:
         verdicts = list(map(verify_instance, point_sets, ids, caps))

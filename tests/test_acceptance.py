@@ -31,7 +31,7 @@ from tricensus.generators import (
     gen_radial_frame,
     gen_random,
 )
-from tricensus.geom import PointSet, in_convex_position, is_general_position
+from tricensus.geom import PointSet, convex_hull, general_position_violation, integer_view
 from tricensus.harness import size_lists
 from tricensus.triangulations import (
     brute_force_count,
@@ -274,14 +274,14 @@ def test_criterion_09_outward_projection_suite():
             out = project_to_convex_position(ps, pivot)
             assert out.interior == (pivot,)
             others = [out.points[i] for i in range(len(out.points)) if i != pivot]
-            assert in_convex_position(others)
+            assert len(convex_hull(integer_view(others))) == len(others)
             assert pivot not in classify(out).assignment, "pivot became close after projection"
             interior_pivots += 1
         else:
             pivot = ps.hull[0]
             out = project_to_convex_position(ps, pivot)
-            assert in_convex_position(out.points)
-        assert is_general_position(out.points)
+            assert len(convex_hull(integer_view(out.points))) == len(out.points)
+        assert general_position_violation(integer_view(out.points)) is None
         assert count_partial(out) <= before
         checked += 1
     assert interior_pivots >= 10

@@ -25,7 +25,7 @@ from tricensus.charvec import (
 from tricensus.closeness import classify
 from tricensus.errors import SizeCapError
 from tricensus.generators import gen_angle_frame, gen_radial_frame, gen_random
-from tricensus.geom import Point, PointSet, in_convex_position
+from tricensus.geom import Point, PointSet, convex_hull, integer_view
 from tricensus.triangulations import count_partial
 
 from oracles import orient, segments_properly_cross
@@ -318,7 +318,7 @@ def test_projection_from_hull_pivot_yields_convex_position():
     out = project_to_convex_position(ps, ps.hull[0])
     assert len(out.points) == 7
     assert out.interior == ()
-    assert in_convex_position(out.points)
+    assert len(convex_hull(integer_view(out.points))) == len(out.points)
     # hull points kept verbatim
     for h in ps.hull:
         assert out.points[h] == ps.points[h]
@@ -334,7 +334,7 @@ def test_projection_keeps_interior_pivot_and_non_closeness():
     assert out.interior == (pivot,)
     assert out.points[pivot] == ps.points[pivot]
     others = [out.points[i] for i in range(len(out.points)) if i != pivot]
-    assert in_convex_position(others)
+    assert len(convex_hull(integer_view(others))) == len(others)
     assert pivot not in classify(out).assignment
     assert count_partial(out) <= count_partial(ps)
 
@@ -346,6 +346,6 @@ def test_projection_count_inequality_on_corpus():
             continue
         pivot = ps.hull[0]
         out = project_to_convex_position(ps, pivot)
-        assert in_convex_position(out.points)
+        assert len(convex_hull(integer_view(out.points))) == len(out.points)
         assert count_partial(out) <= count_partial(ps)
         assert count_partial(out) == polygon_triangulation_count(len(out.points))

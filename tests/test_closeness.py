@@ -13,7 +13,7 @@ from tricensus.closeness import (
     is_close,
 )
 from tricensus.generators import gen_convex, gen_double_circle, gen_quasi_convex, gen_random
-from tricensus.geom import Point, PointSet, added_point_violation
+from tricensus.geom import Point, PointSet, added_xy_violation, integer_view
 from tricensus.triangulations import count_partial
 
 from oracles import INSIDE, orient, point_in_triangle
@@ -201,7 +201,8 @@ def _assert_matches_references(ps):
 def _in_general_position(points):
     kept = []
     for p in points:
-        if added_point_violation(kept, p) is None:
+        *xy, new = integer_view((*kept, p))
+        if added_xy_violation(xy, new) is None:
             kept.append(p)
     return kept
 

@@ -19,9 +19,10 @@ from tricensus.generators import (
 )
 from tricensus.geom import (
     Point,
+    convex_hull,
     format_points,
     general_position_violation,
-    in_convex_position,
+    integer_view,
 )
 from tricensus.triangulations import count_partial
 
@@ -43,7 +44,7 @@ def test_gen_convex_counts():
 
 def test_gen_convex_output_is_strictly_convex_and_seeded():
     ps = gen_convex(9, 64, seed=5)
-    assert in_convex_position(ps.points)
+    assert len(convex_hull(integer_view(ps.points))) == len(ps.points)
     assert gen_convex(9, 64, seed=5).points == ps.points
     assert gen_convex(9, 64, seed=6).points != ps.points
     n = len(ps.points)
@@ -122,7 +123,7 @@ def test_ring_family_points_are_pinned(hull, sides):
 
 def test_gen_random_general_position_and_seeding():
     ps = gen_random(9, 64, seed=11)
-    assert general_position_violation(ps.points) is None
+    assert general_position_violation(integer_view(ps.points)) is None
     assert gen_random(9, 64, seed=11).points == ps.points
     assert gen_random(9, 64, seed=12).points != ps.points
 
@@ -139,7 +140,7 @@ def _gen_random_whole_set_oracle(n, bbox, seed):
     misses = 0
     while len(pts) < n:
         cand = Point(rng.below(bbox + 1), rng.below(bbox + 1))
-        if general_position_violation(pts + [cand]) is None:
+        if general_position_violation(integer_view(pts + [cand])) is None:
             pts.append(cand)
             continue
         misses += 1

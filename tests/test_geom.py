@@ -4,16 +4,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from tricensus import charvec, geom
 from tricensus.geom import (
     Point,
     PointSet,
-    added_point_violation,
+    added_xy_violation,
     convex_hull,
     format_points,
     general_position_violation,
-    in_convex_position,
     integer_view,
-    is_general_position,
     parse_points_text,
 )
 from tricensus.generators import gen_double_circle, gen_random
@@ -21,6 +20,12 @@ from tricensus.generators import gen_double_circle, gen_random
 from oracles import BOUNDARY, INSIDE, OUTSIDE, orient, point_in_triangle, segments_properly_cross
 
 P = Point
+
+
+def _added_violation(points, new):
+    """added_xy_violation on the integer view of ``points`` and ``new`` together."""
+    *xy, new_xy = integer_view((*points, new))
+    return added_xy_violation(xy, new_xy)
 
 
 def test_orient_canonical_triples():
@@ -57,32 +62,32 @@ def test_segments_properly_cross_examples():
 
 def test_convex_hull_examples():
     square = [P(0, 0), P(4, 0), P(4, 4), P(0, 4), P(2, 2)]
-    assert convex_hull(square) == [0, 1, 2, 3]
-    assert convex_hull([P(0, 0), P(5, 0), P(0, 5)]) == [0, 1, 2]
+    assert convex_hull(integer_view(square)) == [0, 1, 2, 3]
+    assert convex_hull(integer_view([P(0, 0), P(5, 0), P(0, 5)])) == [0, 1, 2]
     ring = [P(0, 0), P(4, -1), P(6, 2), P(3, 5), P(-1, 3)]
-    assert convex_hull(ring) == [4, 0, 1, 2, 3]  # ccw from the lexicographic minimum
+    assert convex_hull(integer_view(ring)) == [4, 0, 1, 2, 3]  # ccw from the lexicographic minimum
 
 
 def test_convex_hull_starts_at_lexicographic_minimum():
     pts = [P(4, 4), P(0, 0), P(4, 0), P(0, 4)]
-    hull = convex_hull(pts)
+    hull = convex_hull(integer_view(pts))
     assert hull[0] == 1
     assert set(hull) == {0, 1, 2, 3}
 
 
 def test_convex_hull_collinear_raises():
     with pytest.raises(ValueError):
-        convex_hull([P(0, 0), P(1, 1), P(2, 2), P(3, 3)])
+        convex_hull(integer_view([P(0, 0), P(1, 1), P(2, 2), P(3, 3)]))
 
 
 def test_general_position_witnesses():
-    assert general_position_violation([P(0, 0), P(1, 0), P(0, 1)]) is None
-    assert general_position_violation([P(0, 0), P(1, 1), P(2, 2)]) == (0, 1, 2)
-    assert general_position_violation([P(0, 0), P(0, 0), P(1, 0)]) == (0, 1)
-    assert is_general_position([P(0, 0), P(1, 0), P(0, 1)])
-    assert added_point_violation([P(0, 0), P(1, 0)], P(0, 1)) is None
-    assert added_point_violation([P(0, 0), P(1, 0)], P(1, 0)) == (1,)
-    assert added_point_violation([P(0, 0), P(3, 1), P(1, 1)], P(2, 2)) == (0, 2)
+    assert general_position_violation(integer_view([P(0, 0), P(1, 0), P(0, 1)])) is None
+    assert general_position_violation(integer_view([P(0, 0), P(1, 1), P(2, 2)])) == (0, 1, 2)
+    assert general_position_violation(integer_view([P(0, 0), P(0, 0), P(1, 0)])) == (0, 1)
+    assert general_position_violation(((0, 0), (1, 0), (0, 1))) is None
+    assert _added_violation([P(0, 0), P(1, 0)], P(0, 1)) is None
+    assert _added_violation([P(0, 0), P(1, 0)], P(1, 0)) == (1,)
+    assert _added_violation([P(0, 0), P(3, 1), P(1, 1)], P(2, 2)) == (0, 2)
 
 
 def test_point_set_construction():
@@ -150,7 +155,7 @@ grid_points = st.lists(st.builds(P, st.integers(0, 3), st.integers(0, 3)), max_s
 
 @given(grid_points)
 def test_general_position_violation_matches_triple_loop(pts):
-    witness = general_position_violation(pts)
+    witness = general_position_violation(integer_view(pts))
     assert (witness is None) == (_triple_loop_violation(pts) is None)
     if witness is None:
         return
@@ -186,10 +191,10 @@ def test_violation_witnesses_match_pairwise_loop(pts):
     expected = None
     for k in range(len(pts)):
         witness = _pairwise_added_violation(pts[:k], pts[k])
-        assert added_point_violation(pts[:k], pts[k]) == witness
+        assert _added_violation(pts[:k], pts[k]) == witness
         if expected is None and witness is not None:
             expected = (*witness, k)
-    assert general_position_violation(pts) == expected
+    assert general_position_violation(integer_view(pts)) == expected
 
 
 def test_added_point_violation_exact_near_2_to_80():
@@ -201,17 +206,17 @@ def test_added_point_violation_exact_near_2_to_80():
 
     # (3 * 2^80 + 1, 5 * 2^80) and (3, 5) have equal float slopes but are not parallel
     near = at(3 * big + 1, 5 * big)
-    assert added_point_violation([at(3, 5), near], new) is None
-    assert added_point_violation([at(-7, 2), at(3, 5), near, at(-3 * big, -5 * big)], new) == (1, 3)
-    assert general_position_violation([new, at(3, 5), near]) is None
-    assert general_position_violation([at(3, 5), new, near, at(6, 10)]) == (0, 1, 3)
-    assert added_point_violation([at(1, 1), new], new) == (1,)
+    assert _added_violation([at(3, 5), near], new) is None
+    assert _added_violation([at(-7, 2), at(3, 5), near, at(-3 * big, -5 * big)], new) == (1, 3)
+    assert general_position_violation(integer_view([new, at(3, 5), near])) is None
+    assert general_position_violation(integer_view([at(3, 5), new, near, at(6, 10)])) == (0, 1, 3)
+    assert _added_violation([at(1, 1), new], new) == (1,)
     # rational coordinates near 2^80 stay exact once the integer view scales them by
     # the lcm of their denominators
     third = Fraction(1, 3)
     new = P(Fraction(big + 1, 3), Fraction(big, 7))
-    assert added_point_violation([at(third, 1), at(big * third + third, big)], new) is None
-    assert added_point_violation([at(third, 1), at(big * third, big)], new) == (0, 1)
+    assert _added_violation([at(third, 1), at(big * third + third, big)], new) is None
+    assert _added_violation([at(third, 1), at(big * third, big)], new) == (0, 1)
 
 
 @pytest.mark.parametrize("ps, ends, witness", [
@@ -224,7 +229,7 @@ def test_large_sets_load_unchanged_and_reject_a_shared_line(ps, ends, witness):
     # the midpoint of two points is on their line, and here maybe on a lower-indexed one too
     a, b = (ps.points[i] for i in ends)
     extended = ps.points + (P((a.x + b.x) / 2, (a.y + b.y) / 2),)
-    assert general_position_violation(extended) == witness
+    assert general_position_violation(integer_view(extended)) == witness
     with pytest.raises(ValueError, match=re.escape(f"collinear points at indices {witness}")):
         PointSet.from_points(extended)
 
@@ -253,12 +258,12 @@ def test_segments_properly_cross_symmetries(a, b, c, d):
        st.randoms(use_true_random=False))
 def test_convex_hull_permutation_invariant(pts, rnd):
     try:
-        base = [pts[i] for i in convex_hull(pts)]
+        base = [pts[i] for i in convex_hull(integer_view(pts))]
     except ValueError:
         return
     shuffled = list(pts)
     rnd.shuffle(shuffled)
-    assert [shuffled[i] for i in convex_hull(shuffled)] == base
+    assert [shuffled[i] for i in convex_hull(integer_view(shuffled))] == base
 
 
 # -- the integer view against the Point predicates it replaced --------------
@@ -312,15 +317,15 @@ def test_convex_hull_matches_point_orient_chain(pts):
         expected = _hull_by_point_orient(pts)
     except ValueError as exc:  # too few, duplicate or collinear points: the same error
         with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
-            convex_hull(pts)
+            convex_hull(integer_view(pts))
         return
-    assert convex_hull(pts) == expected
+    assert convex_hull(integer_view(pts)) == expected
 
 
 @given(any_grid_points)
 def test_orient_table_matches_point_built_table(pts):
     # the raw constructor, so that equal points and collinear triples reach the table
-    ps = PointSet(tuple(pts), (), ())
+    ps = PointSet(tuple(pts), (), (), integer_view(pts))
     assert ps.orient_table() == _orient_table_from_points(pts)
 
 
@@ -370,5 +375,43 @@ def test_format_round_trip():
 
 
 def test_in_convex_position():
-    assert in_convex_position([P(0, 0), P(4, -1), P(6, 2), P(3, 5), P(-1, 3)])
-    assert not in_convex_position([P(0, 0), P(4, 0), P(4, 4), P(0, 4), P(2, 2)])
+    assert len(convex_hull(integer_view([P(0, 0), P(4, -1), P(6, 2), P(3, 5), P(-1, 3)]))) == 5
+    assert len(convex_hull(integer_view([P(0, 0), P(4, 0), P(4, 4), P(0, 4), P(2, 2)]))) == 4
+
+
+def test_point_coordinates_are_int_or_fraction_only():
+    assert P(Fraction(1, 2), -3) == P(Fraction(2, 4), Fraction(-3))
+    # the v1 file parser rejects both string forms, so the constructor does too
+    for x, y in (("1e-3", " 1/2 "), ("0.5", 1)):
+        with pytest.raises(TypeError, match="^coordinate must be int or Fraction, got str$"):
+            P(x, y)
+
+
+def _count_views(monkeypatch, *modules):
+    """Count the calls to integer_view made through each module's global."""
+    calls = []
+
+    def spy(points):
+        calls.append(len(points))
+        return integer_view(points)
+
+    for module in modules:
+        monkeypatch.setattr(module, "integer_view", spy)
+    return calls
+
+
+def test_from_points_builds_one_integer_view(monkeypatch):
+    pts = gen_random(12, 64, seed=3).points
+    calls = _count_views(monkeypatch, geom)
+    ps = PointSet.from_points(pts)
+    assert calls == [12]
+    assert ps.xy == integer_view(pts)
+
+
+def test_build_radial_frame_builds_one_integer_view(monkeypatch):
+    calls = _count_views(monkeypatch, geom, charvec)
+    center, *pts = (P(x, y) for x, y in ((0, 0), (5, 1), (-2, 7), (-6, -3), (3, -8)))
+    frame = charvec.build_radial_frame(center, pts)
+    assert calls == [5]
+    assert frame.center_xy == (0, 0)
+    assert frame.xy == integer_view(frame.points)

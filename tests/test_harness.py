@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tricensus
-from tricensus import charvec
+from tricensus import charvec, harness
 from tricensus.cli import main
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
 from tricensus.geom import PointSet, save_point_set
@@ -84,6 +84,35 @@ def test_parallel_report_is_byte_identical_to_serial(family, n, seed):
     cfg.jobs = 2
     # the config line echoes the job count; every other byte must match
     assert run_corpus(cfg).to_jsonl() == serial.replace('"jobs": 1', '"jobs": 2')
+
+
+def test_run_corpus_starts_at_most_one_worker_per_instance(monkeypatch):
+    started = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    cfg = RunConfig(family="random", n=6, trials=2, seed=4)
+    serial = run_corpus(cfg).to_jsonl()
+    for jobs, workers in ((6, 2), (2, 2)):
+        cfg.jobs = jobs
+        # the config line echoes the requested job count
+        assert run_corpus(cfg).to_jsonl() == serial.replace('"jobs": 1', f'"jobs": {jobs}')
+        assert started.pop() == workers
+    cfg.trials = 3
+    run_corpus(cfg)
+    assert started == [2]
 
 
 def test_run_corpus_empty():

@@ -16,7 +16,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
-from tricensus.geom import Point, PointSet, is_general_position
+from tricensus.geom import Point, PointSet, general_position_violation, integer_view
 from tricensus import triangulations
 from tricensus.triangulations import (
     _region_splits,
@@ -147,7 +147,7 @@ def shared_y_point_sets(draw):
         min_size=2, max_size=5))
     height = draw(st.integers(1, 9))
     points = [Point(x, height * y) for y, xs in enumerate(rows) for x in xs]
-    assume(len(points) >= 4 and is_general_position(points))
+    assume(len(points) >= 4 and general_position_violation(integer_view(points)) is None)
     return PointSet.from_points(points)
 
 
@@ -170,7 +170,7 @@ def test_split_masks_describe_their_sub_regions(coords, required, canonical):
     edge mask holds exactly the cycle's directed edges.  On a small grid many
     points share an x or a y coordinate."""
     points = [Point(x, y) for x, y in coords]
-    assume(is_general_position(points))
+    assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     tab = ps.orient_table()
     t = _tables(ps, canonical)

@@ -12,7 +12,13 @@ from tricensus.catalan import polygon_triangulation_count
 from tricensus.cli import main
 from tricensus.errors import SizeCapError
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, gen_random, generate
-from tricensus.geom import Point, PointSet, is_general_position, save_point_set
+from tricensus.geom import (
+    Point,
+    PointSet,
+    general_position_violation,
+    integer_view,
+    save_point_set,
+)
 from tricensus import triangulations
 from tricensus.triangulations import (
     Triangulation,
@@ -219,7 +225,7 @@ def test_full_count_never_below_hull_polygon_count(seed):
 def test_crossing_table_holds_exactly_the_properly_crossing_edges(coords, canonical):
     """On a small grid many points share an x or a y coordinate."""
     points = [Point(x, y) for x, y in coords]
-    assume(is_general_position(points))
+    assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     tab = ps.orient_table()
     t = _tables(ps, canonical)
@@ -239,7 +245,7 @@ def test_left_masks_follow_the_orientation_table(coords, canonical):
     """The left masks, built from the integer view, hold exactly the points
     the orientation table puts strictly left of each directed line."""
     points = [Point(x, y) for x, y in coords]
-    assume(is_general_position(points))
+    assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     t = _tables(ps, canonical)
     tab = ps.orient_table()
