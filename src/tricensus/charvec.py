@@ -11,10 +11,13 @@ points, walked from the left arm to the right arm.  Its characteristic
 vector records, per interior point, whether the polyline passes above it:
 for a non-vertex, above means the segment from the apex to the point crosses
 the polyline chord bracketing it; for a vertex of the polyline the rule
-flips.  The two maps are mutually inverse bijections between polylines and
-bit vectors; ``polyline_from_charvec`` recovers the unique vertex chain for
-a vector by an exact search over consecutive vertex pairs, since a point's
-bit depends only on its two bracketing chain nodes.
+flips, against the chord joining its two neighbors.  As the ray to the point
+lies between the rays to the chord's ends, the segment crosses the chord
+exactly when the point lies on the other side of it from the apex.  The two
+maps are mutually inverse bijections between polylines and bit vectors;
+``polyline_from_charvec`` recovers the unique vertex chain for a vector by
+an exact search over consecutive vertex pairs, since a point's bit depends
+only on its two bracketing chain nodes.
 
 *Radial frames.*  Fix a center and points sorted counter-clockwise from a
 deterministic reference direction parallel to no center-to-point ray.  A
@@ -38,7 +41,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import chain, combinations
 
 from .errors import ConstructionError, SizeCapError
@@ -54,41 +57,26 @@ PROJECTION_ROUNDS = 64
 
 @dataclass(frozen=True)
 class AngleFrame:
-    """An angle with its interior points sorted left to right."""
+    """An angle with its interior points sorted left to right.
+
+    Chain node -1 is the left arm, node n the right arm and node k < n the
+    interior point P_k.  For nodes u < v, ``beyond[u + 1][v + 1]`` has bit i
+    set, u < i < v, when P_i lies on the other side of chord u--v from the
+    apex: the ray to P_i lies between the rays to u and v, so that is when
+    apex--P_i properly crosses the chord.  :func:`build_angle_frame` builds
+    the masks from the integer view it sorts on.
+    """
 
     apex: Point
     left_arm: Point
     right_arm: Point
     interior: tuple[Point, ...]
-    _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
-
-    def crossing_table(self) -> list:
-        """crossings[i][u+1][v+1]: does apex--P_i properly cross the chord between
-        chain nodes u and v?  Node -1 is the left arm, node n the right arm and
-        node k < n the interior point P_k."""
-        table = self._cache.get("crossings")
-        if table is None:
-            n = len(self.interior)
-            # chain node e is nodes[e + 1]
-            apex, *nodes = integer_view((self.apex, self.left_arm, *self.interior, self.right_arm))
-            table = [[[False] * (n + 2) for _ in range(n + 2)] for _ in range(n)]
-            for i in range(n):
-                p = nodes[i + 1]
-                for u in range(-1, n + 1):
-                    for v in range(u + 1, n + 1):
-                        if i in (u, v):
-                            continue
-                        a, b = nodes[u + 1], nodes[v + 1]
-                        hit = (turn(apex, p, a) * turn(apex, p, b) < 0
-                               and turn(a, b, apex) * turn(a, b, p) < 0)
-                        table[i][u + 1][v + 1] = hit
-                        table[i][v + 1][u + 1] = hit
-            self._cache["crossings"] = table
-        return table
+    beyond: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
 
 def build_angle_frame(apex: Point, left_arm: Point, right_arm: Point, pts) -> AngleFrame:
-    """Validate the configuration and sort the interior points angularly."""
+    """Validate the configuration, sort the interior points angularly and
+    build the chord masks."""
     pts = list(pts)
     view = integer_view([apex, left_arm, right_arm, *pts])
     witness = general_position_violation(view)
@@ -105,7 +93,14 @@ def build_angle_frame(apex: Point, left_arm: Point, right_arm: Point, pts) -> An
         return -s * turn(a, xy[i], xy[j])
 
     order = sorted(range(len(pts)), key=cmp_to_key(cmp))
-    return AngleFrame(apex, left_arm, right_arm, tuple(pts[i] for i in order))
+    nodes = (left, *(xy[i] for i in order), right)  # chain node e is nodes[e + 1]
+    beyond = [[0] * len(nodes) for _ in nodes]
+    for j, l in combinations(range(len(nodes)), 2):
+        p, q = nodes[j], nodes[l]
+        side = turn(p, q, a)
+        beyond[j][l] = sum(1 << (k - 1) for k in range(j + 1, l) if turn(p, q, nodes[k]) != side)
+    return AngleFrame(apex, left_arm, right_arm, tuple(pts[i] for i in order),
+                      tuple(map(tuple, beyond)))
 
 
 def all_polylines(frame: AngleFrame):
@@ -126,20 +121,16 @@ def polyline_charvec(frame: AngleFrame, polyline) -> tuple[int, ...]:
     """Characteristic vector of a polyline, one bit per interior point."""
     verts = _validate_polyline(frame, polyline)
     n = len(frame.interior)
-    crossings = frame.crossing_table()
-    sentinel_chain = (-1,) + verts + (n,)
-    positions = {v: m for m, v in enumerate(verts, start=1)}
-    bits = []
-    for k in range(n):
-        pos = positions.get(k)
-        if pos is not None:
-            left, right = sentinel_chain[pos - 1], sentinel_chain[pos + 1]
-            bits.append(0 if crossings[k][left + 1][right + 1] else 1)
-        else:
-            pos = bisect_left(sentinel_chain, k)
-            left, right = sentinel_chain[pos - 1], sentinel_chain[pos]
-            bits.append(1 if crossings[k][left + 1][right + 1] else 0)
-    return tuple(bits)
+    beyond = frame.beyond
+    nodes = (-1, *verts, n)
+    # a non-vertex takes its bit from the chain chord over it, a vertex the
+    # flipped bit from the chord joining its two neighbors
+    mask = 0
+    for u, v in zip(nodes, nodes[1:]):
+        mask |= beyond[u + 1][v + 1]
+    for u, k, v in zip(nodes, verts, nodes[2:]):
+        mask |= ~beyond[u + 1][v + 1] & (1 << k)
+    return tuple((mask >> k) & 1 for k in range(n))
 
 
 def polyline_from_charvec(frame: AngleFrame, bits) -> tuple[int, ...]:
@@ -157,33 +148,24 @@ def polyline_from_charvec(frame: AngleFrame, bits) -> tuple[int, ...]:
     n = len(frame.interior)
     if len(bits) != n or any(b not in (0, 1) for b in bits):
         raise ValueError(f"need a 0/1 vector of length {n}")
-    crossings = frame.crossing_table()
+    beyond = frame.beyond
+    target = sum(b << k for k, b in enumerate(bits))
 
-    def gap_ok(u: int, v: int) -> bool:
-        row = range(u + 1, v)
-        return all((1 if crossings[j][u + 1][v + 1] else 0) == bits[j] for j in row)
-
-    memo: dict[tuple[int, int], tuple[int, ...] | None] = {}
-
+    @cache
     def extend(prev: int, cur: int) -> tuple[int, ...] | None:
         # suffix of internal vertices after cur, or None if infeasible
         if cur == n:
             return ()
-        key = (prev, cur)
-        if key in memo:
-            return memo[key]
-        result = None
         for nxt in range(cur + 1, n + 1):
-            if not gap_ok(cur, nxt):
+            # the points the chord cur--nxt skips are bits cur+1 .. nxt-1
+            if beyond[cur + 1][nxt + 1] != target & ((1 << nxt) - (1 << (cur + 1))):
                 continue
-            if cur >= 0 and (0 if crossings[cur][prev + 1][nxt + 1] else 1) != bits[cur]:
-                continue
+            if cur >= 0 and (beyond[prev + 1][nxt + 1] >> cur) & 1 == bits[cur]:
+                continue  # vertex cur takes the flipped bit
             tail = extend(cur, nxt)
             if tail is not None:
-                result = ((nxt,) + tail) if nxt < n else tail
-                break
-        memo[key] = result
-        return result
+                return ((nxt,) + tail) if nxt < n else tail
+        return None
 
     chain_suffix = extend(-1, -1)
     if chain_suffix is None:

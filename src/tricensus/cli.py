@@ -164,6 +164,12 @@ def _index(value: int, n: int, flag: str) -> int:
 
 
 def _cmd_charvec(args) -> int:
+    # a flag of the other mode would be ignored without a word: refuse it
+    for flag in ("--apex", "--arms", "--chi") if args.radial else ("--center", "--check-psi"):
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if value is not None and value is not False:  # --apex 0 is given, and 0 == False
+            raise ValueError(f"{flag} is for angle mode and does not go with --radial"
+                             if args.radial else f"{flag} needs --radial")
     ps = load_point_set(args.file)
     pts = ps.points
     file_index = {p: i for i, p in enumerate(pts)}  # frames reorder their points

@@ -232,12 +232,13 @@ def test_angle_frames_on_rational_grids_match_fraction_oracles(angle, points):
     # left to right: each point turns from the left arm less than every later one
     assert all(orient(apex, u, v) == s for u, v in combinations(frame.interior, 2))
     nodes = (left, *frame.interior, right)  # chain node e is nodes[e + 1]
-    table = frame.crossing_table()
-    for i, p in enumerate(frame.interior):
-        for u, v in combinations(range(-1, n + 1), 2):
-            if i not in (u, v):
-                hit = segments_properly_cross(apex, p, nodes[u + 1], nodes[v + 1])
-                assert table[i][u + 1][v + 1] == table[i][v + 1][u + 1] == hit
+    # bit i of the chord u--v mask, u < i < v, is the proper crossing of apex--P_i
+    for u, v in combinations(range(-1, n + 1), 2):
+        mask = frame.beyond[u + 1][v + 1]
+        for i in range(u + 1, v):
+            hit = segments_properly_cross(apex, frame.interior[i], nodes[u + 1], nodes[v + 1])
+            assert (mask >> i) & 1 == hit
+        assert mask >> v == 0 and mask & ((1 << (u + 1)) - 1) == 0
     shrunk = build_angle_frame(_seventh(apex), _seventh(left), _seventh(right), map(_seventh, pts))
     assert shrunk.interior == tuple(map(_seventh, frame.interior))
     for polyline in all_polylines(frame):

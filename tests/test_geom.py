@@ -415,3 +415,11 @@ def test_build_radial_frame_builds_one_integer_view(monkeypatch):
     assert calls == [5]
     assert frame.center_xy == (0, 0)
     assert frame.xy == integer_view(frame.points)
+
+
+def test_build_angle_frame_builds_one_integer_view(monkeypatch):
+    calls = _count_views(monkeypatch, geom, charvec)
+    apex, left, right, *pts = (P(x, y) for x, y in ((0, 9), (-9, 0), (9, 0), (2, 3), (-3, 2), (0, 5)))
+    frame = charvec.build_angle_frame(apex, left, right, pts)
+    assert charvec.polyline_charvec(frame, (0, 2)) == (1, 0, 1)
+    assert calls == [6]

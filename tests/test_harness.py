@@ -349,6 +349,30 @@ def test_cli_main_calls_in_one_process_match_separate_runs(tmp_path, capsys, mon
     assert alone[2][1] == "16\n"  # more than the 14 of a convex hexagon
 
 
+def test_cli_charvec_angle_mode_rejects_radial_flags(tmp_path, capsys):
+    target = tmp_path / "frame.pts"
+    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    angle = ["charvec", str(target), "--apex", "0", "--arms", "1,2", "--chi", "1"]
+    for extra, flag in ((["--check-psi", "--center", "3"], "--center"),
+                        (["--center", "0"], "--center"),
+                        (["--check-psi"], "--check-psi")):
+        assert main([*angle, *extra]) == 1
+        assert capsys.readouterr() == ("", f"tricensus: error: {flag} needs --radial\n")
+
+
+def test_cli_charvec_radial_mode_rejects_angle_flags(tmp_path, capsys):
+    target = tmp_path / "radial.pts"
+    save_point_set(target, PointSet.from_coords([(0, 0), (2, 1), (-3, 2), (1, -3)]))
+    for extra, flag in ((["--chi", "1"], "--chi"),
+                        (["--apex", "1"], "--apex"),
+                        (["--apex", "0"], "--apex"),
+                        (["--arms", "1,2"], "--arms"),
+                        (["--check-psi", "--apex", "1", "--arms", "2,3", "--chi", "0"], "--apex")):
+        assert main(["charvec", str(target), "--radial", "--center", "0", *extra]) == 1
+        assert capsys.readouterr() == (
+            "", f"tricensus: error: {flag} is for angle mode and does not go with --radial\n")
+
+
 def test_cli_charvec_rejects_repeated_apex_or_arms(tmp_path, capsys):
     target = tmp_path / "frame.pts"
     save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))

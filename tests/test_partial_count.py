@@ -10,11 +10,13 @@ order, so the two also share no anchor, apex or memo order.
 """
 
 import random
-from itertools import combinations
+from fractions import Fraction
+from itertools import combinations, count
 
 from hypothesis import assume, given, settings, strategies as st
 
 from tricensus.catalan import polygon_triangulation_count
+from tricensus.closeness import classify
 from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
 from tricensus.geom import Point, PointSet, general_position_violation, integer_view
 from tricensus import triangulations
@@ -136,6 +138,44 @@ def test_quasi_convex_sets_reach_the_catalan_bound():
         n = n_hull + len(sides)
         assert len(ps.points) == n
         assert count_partial(ps) == polygon_triangulation_count(n)
+
+
+def test_equality_clause_on_larger_quasi_convex_sets():
+    sets = [gen_double_circle(m) for m in range(9, 13)]
+    sets += [gen_quasi_convex(n_hull, sides) for n_hull, sides in (
+        (16, (5,)), (15, (0, 4, 9)), (13, (0, 2, 4, 6, 8, 10)), (16, (0, 3, 7, 11)),
+        (17, (1, 5, 9, 13)), (12, (0, 1, 2, 3, 5, 6, 7, 8, 9, 10)))]
+    for ps in sets:
+        n = len(ps.points)
+        assert count_partial(ps) == polygon_triangulation_count(n), n
+        assert classify(ps).is_quasi_convex, n
+
+
+def _with_point_near_centroid(ps):
+    n = len(ps.points)
+    cx, cy = sum(p.x for p in ps.points) / n, sum(p.y for p in ps.points) / n
+    for k in count():
+        try:
+            return PointSet.from_points([*ps.points, Point(cx + Fraction(k, 101), cy + Fraction(k, 103))])
+        except ValueError:  # not in general position: step further off the centroid
+            continue
+
+
+def test_a_point_near_the_centroid_lifts_quasi_convex_sets_above_the_bound():
+    for ps in (gen_quasi_convex(16, (0, 3, 7, 11)), gen_double_circle(10)):
+        lifted = _with_point_near_centroid(ps)
+        assert len(lifted.points) == 21
+        assert count_partial(lifted) > polygon_triangulation_count(21)
+        assert not classify(lifted).is_quasi_convex
+
+
+def test_lower_bound_on_larger_random_sets():
+    for n in range(13, 19):
+        for seed in (1, 2):
+            ps = gen_random(n, 256, seed=seed)
+            partial = count_partial(ps)
+            assert partial >= polygon_triangulation_count(n), (n, seed)
+            assert (partial == polygon_triangulation_count(n)) == classify(ps).is_quasi_convex, (n, seed)
 
 
 @st.composite
