@@ -74,7 +74,8 @@ def _build_parser() -> _Parser:
     r.add_argument("--family", choices=FAMILIES)
     r.add_argument("--input", help="glob of point files to verify instead of a family")
     r.add_argument("--n", type=int, default=8)
-    r.add_argument("--trials", type=int, default=10)
+    r.add_argument("--trials", type=int, default=10,
+                   help="seeded instances per family (at least 1)")
     r.add_argument("--seed", type=int, default=0)
     r.add_argument("--scale", type=int, default=64)
     r.add_argument("--cap", type=int, default=harness.DEFAULT_CAP,
@@ -227,6 +228,8 @@ def _cmd_catalan(args) -> int:
 def _cmd_verify(args) -> int:
     if (args.family is None) == (args.input is None):
         raise ValueError("choose exactly one of --family or --input")
+    if args.trials < 1:
+        raise ValueError(f"--trials must be at least 1, got {args.trials}")
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     files = tuple(sorted(glob.glob(args.input))) if args.input else ()

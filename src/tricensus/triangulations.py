@@ -84,8 +84,10 @@ class Triangulation:
 
     @property
     def edges(self) -> frozenset[tuple[int, int]]:
+        """The undirected edges, each as (smaller index, larger index)."""
         out = set()
-        for a, b, c in self.triangles:
+        for tri in self.triangles:
+            a, b, c = sorted(tri)
             out.add((a, b))
             out.add((a, c))
             out.add((b, c))
@@ -256,14 +258,14 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: i
     in optional mode it may, and they are left unused.  Apexes come in the
     order cyc[2:], then inside points by ascending rank.
 
-    A boundary apex cyc[j] splits the region into the sub-regions on the
-    cycles cyc[1:j + 1] and cyc[j:] + (cyc[0],), whose inside and edge masks
-    are (inside1, edges1) and (inside2, edges2); either cycle is a bare edge
-    when it has two vertices (j == 2 or j == len(cyc) - 1), and its masks are
-    then meaningless.  An inside apex has j == 0 and one sub-region, on the
-    cycle cyc[1:] + (cyc[0], apex), with masks (inside1, edges1).  Only the
-    masks are built here: a caller slices a cycle when its state is not
-    memoised yet.
+    A boundary apex cyc[j] splits the region into sub-region 1, on the cycle
+    cyc[1:j + 1], and sub-region 2, on the cycle cyc[j:] + (cyc[0],), whose
+    inside and edge masks are (inside1, edges1) and (inside2, edges2).  A
+    caller treats a sub-cycle of two vertices (j == 2 or j == len(cyc) - 1)
+    as a bare edge, which holds no triangle.  An inside apex has j == 0 and
+    only sub-region 1, on the cycle cyc[1:] + (cyc[0], apex), with masks
+    (inside1, edges1).  Only the masks are built here: a caller slices a
+    cycle when its state is not memoised yet.
     """
     left, ray, cross, edge_bit = t.left, t.ray, t.cross, t.edge_bit
     a, b = cyc[0], cyc[1]
@@ -309,8 +311,8 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
     """The number of triangulations of a region that is not in ``memo`` yet;
     the count is stored there under ``edges``.
 
-    Sub-regions are looked up before their cycles are sliced, and a bare edge
-    or a bare triangle is never a state.
+    A sub-region that is a bare edge or an empty triangle counts 1 and is
+    never looked up, recursed into or stored as a state.
     """
     if len(boundary) == 3 and not inside:
         return 1
@@ -319,25 +321,18 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
     k = len(cyc)
     total = 0
     for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, required):
-        if not j:
-            c = memo.get(edges1)
-            if c is None:
-                c = _count_region(t, cyc[1:] + (a, v), inside1, edges1, required, memo)
-            total += c
-            continue
-        # the sub-cycles have j and k - j + 1 vertices; a bare edge or an empty
-        # triangle counts 1
-        c = 1
-        if inside1 or j > 3:
-            c = memo.get(edges1)
-            if c is None:
-                c = _count_region(t, cyc[1:j + 1], inside1, edges1, required, memo)
-        if inside2 or j < k - 2:
+        # a boundary apex leaves sub-cycles of j and k - j + 1 vertices
+        c1 = c2 = 1
+        if not j or inside1 or j > 3:
+            c1 = memo.get(edges1)
+            if c1 is None:
+                c1 = _count_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v), inside1, edges1,
+                                   required, memo)
+        if j and (inside2 or j < k - 2):
             c2 = memo.get(edges2)
             if c2 is None:
                 c2 = _count_region(t, cyc[j:] + (a,), inside2, edges2, required, memo)
-            c *= c2
-        total += c
+        total += c1 * c2
     memo[edges] = total
     return total
 
@@ -349,6 +344,8 @@ def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, 
 
     Each triangulation is a tuple of triangles from ``t.triangle``, the anchor
     triangle first, then the first sub-region's triangles, then the second's.
+    A bare-edge sub-region lists as ``((),)``, one triangulation with no
+    triangle, and is never looked up or recursed into.
     """
     triangle = t.triangle
     if len(boundary) == 3 and not inside:
@@ -360,30 +357,18 @@ def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, 
     out = []
     for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, True):
         tri = (triangle_ab[v],)
-        if not j:
+        parts1 = parts2 = ((),)
+        if j != 2:
             parts1 = memo.get(edges1)
             if parts1 is None:
-                parts1 = _enumerate_region(t, cyc[1:] + (a, v), inside1, edges1, memo)
-            out += [tri + p1 for p1 in parts1]
-            continue
-        # a sub-cycle of two vertices (j == 2, or j == k - 1) is a bare edge
-        # and adds no triangle
-        if j > 2:
-            parts1 = memo.get(edges1)
-            if parts1 is None:
-                parts1 = _enumerate_region(t, cyc[1:j + 1], inside1, edges1, memo)
-        if j < k - 1:
+                parts1 = _enumerate_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v), inside1,
+                                           edges1, memo)
+        if 0 < j < k - 1:
             parts2 = memo.get(edges2)
             if parts2 is None:
                 parts2 = _enumerate_region(t, cyc[j:] + (a,), inside2, edges2, memo)
-            if j > 2:
-                out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
-            else:
-                out += [tri + p2 for p2 in parts2]
-        elif j > 2:
-            out += [tri + p1 for p1 in parts1]
-        else:
-            out.append(tri)
+        # tri + () is tri itself, so a bare side builds no extra tuple
+        out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
     result = tuple(out)
     memo[edges] = result
     return result
@@ -529,7 +514,7 @@ def check_triangulation(ps: PointSet, tri: Triangulation) -> None:
         return ((a, b), (a, c), (b, c))
 
     for t1, t2 in combinations(tri.triangles, 2):
-        if t1 == t2:
+        if set(t1) == set(t2):
             raise ValueError(f"repeated triangle {t1}")
         for e1 in tri_edges(t1):
             for e2 in tri_edges(t2):

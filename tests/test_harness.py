@@ -521,11 +521,13 @@ def test_cli_verify_input_glob(tmp_path, capsys):
 
 def test_cli_verify_that_checks_nothing_exits_1(tmp_path, capsys):
     report = tmp_path / "out.jsonl"
-    for extra, skipped in ((["--n", "14", "--trials", "2", "--cap", "12"], 2),
-                           (["--n", "6", "--trials", "0"], 0)):
+    for k in range(3):
+        save_point_set(tmp_path / f"c{k}.pts", gen_convex(6, 64, seed=k))
+    for extra, skipped in ((["--family", "random", "--seed", "7", "--n", "14", "--trials", "2",
+                             "--cap", "12"], 2),
+                           (["--input", str(tmp_path / "*.pts"), "--cap", "5"], 3)):
         report.unlink(missing_ok=True)
-        assert main(["verify", "--family", "random", "--seed", "7",
-                     "--report", str(report), *extra]) == 1
+        assert main(["verify", "--report", str(report), *extra]) == 1
         captured = capsys.readouterr()
         assert captured.err == f"tricensus: error: no instance was checked ({skipped} skipped)\n"
         assert json.loads(captured.out.strip().split("\n")[-1])["checked"] == 0
@@ -538,6 +540,14 @@ def test_cli_verify_rejects_budget(capsys):
         main(["verify", "--family", "convex", "--n", "5", "--trials", "1", "--budget", "1"])
     assert exc.value.code == 1
     assert "unrecognized arguments: --budget" in capsys.readouterr().err
+
+
+def test_cli_verify_rejects_trials_below_one(capsys):
+    for trials in ("0", "-2"):
+        assert main(["verify", "--family", "random", "--n", "6", "--trials", trials]) == 1
+        captured = capsys.readouterr()
+        assert f"--trials must be at least 1, got {trials}" in captured.err
+        assert captured.out == ""
 
 
 def test_cli_verify_rejects_jobs_below_one(capsys):

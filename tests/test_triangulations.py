@@ -2,6 +2,7 @@ import contextlib
 import hashlib
 import io
 import os
+import random
 import tempfile
 from itertools import combinations
 
@@ -196,8 +197,23 @@ def test_enumerate_partial_matches_count_and_subset_sum():
 
 
 def test_triangulation_edges_derived():
-    t = Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (0, 2, 3)))
-    assert t.edges == frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (0, 3)})
+    square = frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (0, 3)})
+    assert Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (0, 2, 3))).edges == square
+    assert Triangulation(frozenset({0, 1, 2, 3}), ((2, 1, 0), (0, 3, 2))).edges == square
+
+
+def test_check_triangulation_ignores_the_vertex_order_of_each_triangle():
+    rng = random.Random(17)
+    for seed in range(3):
+        ps = gen_random(7, 24, seed=77 + seed)
+        for t in enumerate_partial(ps):
+            shuffled = tuple(tuple(rng.sample(tri, 3)) for tri in t.triangles)
+            check_triangulation(ps, Triangulation(t.vertex_subset, shuffled))
+    ps = PointSet.from_coords([(0, 0), (5, 1), (6, 5), (1, 6)])
+    check_triangulation(ps, Triangulation(frozenset({0, 1, 2, 3}), ((2, 1, 0), (0, 2, 3))))
+    with pytest.raises(ValueError, match=r"repeated triangle \(0, 1, 2\)"):
+        check_triangulation(
+            ps, Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (2, 0, 1), (0, 2, 3))))
 
 
 def test_check_triangulation_rejects_bad_cover():
