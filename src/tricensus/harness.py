@@ -15,6 +15,10 @@ Reports are JSONL: one object per instance verdict, then a single summary
 object.  Runs with the same configuration and seeds produce byte-identical
 reports; to keep that true, ``runtime_ms`` is written as 0 unless the run's
 configuration asks for timings.
+
+With ``jobs > 1`` and more than one instance, instances are verified in a
+process pool; ``concurrent.futures`` and ``multiprocessing`` are imported
+only when a run uses that pool, so a serial run never loads them.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 
 from . import charvec, generators
@@ -198,6 +201,9 @@ def run_corpus(cfg: RunConfig) -> CorpusReport:
                   + [load_point_set(path) for path in cfg.input_files])
     caps = itertools.repeat(cfg.cap)
     if cfg.jobs > 1 and len(ids) > 1:
+        # imported here: the pool stack costs every serial run memory it never uses
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(point_sets))) as pool:
             verdicts = list(pool.map(verify_instance, point_sets, ids, caps))
     else:

@@ -75,7 +75,7 @@ ENUMERATION_CAP = 14
 BRUTE_FORCE_CAP = 10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triangulation:
     """A triangulation as index triples over a vertex subset of a PointSet."""
 
@@ -344,8 +344,9 @@ def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, 
 
     Each triangulation is a tuple of triangles from ``t.triangle``, the anchor
     triangle first, then the first sub-region's triangles, then the second's.
-    A bare-edge sub-region lists as ``((),)``, one triangulation with no
-    triangle, and is never looked up or recursed into.
+    A bare-edge sub-region is never looked up or recursed into: a bare first
+    side lists as ``((),)``, one triangulation with no triangle, and a bare
+    second side takes no product at all.
     """
     triangle = t.triangle
     if len(boundary) == 3 and not inside:
@@ -357,18 +358,21 @@ def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, 
     out = []
     for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, True):
         tri = (triangle_ab[v],)
-        parts1 = parts2 = ((),)
+        parts1 = ((),)
         if j != 2:
             parts1 = memo.get(edges1)
             if parts1 is None:
                 parts1 = _enumerate_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v), inside1,
                                            edges1, memo)
+        # tri + () is tri itself, so a bare first side builds no extra tuple;
+        # a bare second side is the unit and takes no product
         if 0 < j < k - 1:
             parts2 = memo.get(edges2)
             if parts2 is None:
                 parts2 = _enumerate_region(t, cyc[j:] + (a,), inside2, edges2, memo)
-        # tri + () is tri itself, so a bare side builds no extra tuple
-        out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
+            out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
+        else:
+            out += [tri + p1 for p1 in parts1]
     result = tuple(out)
     memo[edges] = result
     return result

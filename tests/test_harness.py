@@ -1,3 +1,4 @@
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tricensus
-from tricensus import charvec, harness
+from tricensus import charvec
 from tricensus.cli import main
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
 from tricensus.geom import PointSet, save_point_set
@@ -102,7 +103,8 @@ def test_run_corpus_starts_at_most_one_worker_per_instance(monkeypatch):
         def map(self, fn, *iterables):
             return map(fn, *iterables)
 
-    monkeypatch.setattr(harness, "ProcessPoolExecutor", SerialPool)
+    # run_corpus imports the pool from concurrent.futures only when it uses it
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
     cfg = RunConfig(family="random", n=6, trials=2, seed=4)
     serial = run_corpus(cfg).to_jsonl()
     for jobs, workers in ((6, 2), (2, 2)):
@@ -113,6 +115,37 @@ def test_run_corpus_starts_at_most_one_worker_per_instance(monkeypatch):
     cfg.trials = 3
     run_corpus(cfg)
     assert started == [2]
+
+
+_POOL_MODULES_SCRIPT = """
+import contextlib, io, json, sys
+import tricensus, tricensus.cli
+pool_modules = ("multiprocessing", "concurrent.futures.process")
+loaded = [[m in sys.modules for m in pool_modules]]
+argv = ["verify", "--family", "random", "--n", "6", "--trials", "3", "--seed", "4", "--report"]
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [tricensus.cli.main([*argv, sys.argv[1]])]
+    loaded.append([m in sys.modules for m in pool_modules])
+    codes.append(tricensus.cli.main([*argv, sys.argv[2], "--jobs", "2"]))
+loaded.append([m in sys.modules for m in pool_modules])
+print(json.dumps({"loaded": loaded, "codes": codes}))
+"""
+
+
+def test_only_a_pooled_run_loads_the_process_pool(tmp_path):
+    """A fresh interpreter, since pytest's own process may hold multiprocessing
+    already: importing the package and a serial verify load neither
+    multiprocessing nor the pool; a --jobs 2 run over three instances loads
+    both and writes the serial report apart from the jobs echo."""
+    serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+    env = dict(os.environ, PYTHONPATH=str(Path(tricensus.__file__).resolve().parents[1]))
+    run = subprocess.run([sys.executable, "-c", _POOL_MODULES_SCRIPT, str(serial), str(pooled)],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout)
+    assert result["codes"] == [0, 0]
+    assert result["loaded"] == [[False, False], [False, False], [True, True]]
+    assert pooled.read_text() == serial.read_text().replace('"jobs": 1', '"jobs": 2')
 
 
 def test_run_corpus_empty():

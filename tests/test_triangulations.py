@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import hashlib
 import io
 import os
@@ -200,6 +201,20 @@ def test_triangulation_edges_derived():
     square = frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (0, 3)})
     assert Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (0, 2, 3))).edges == square
     assert Triangulation(frozenset({0, 1, 2, 3}), ((2, 1, 0), (0, 3, 2))).edges == square
+
+
+def test_triangulation_is_a_slotted_frozen_value():
+    ps = PointSet.from_coords([(0, 0), (5, 1), (6, 5), (1, 6)])
+    t = Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (0, 2, 3)))
+    assert not hasattr(t, "__dict__")
+    for name, value in (("vertex_subset", frozenset()), ("triangles", ())):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(t, name, value)
+    same = Triangulation(frozenset([3, 2, 1, 0]), ((0, 1, 2), (0, 2, 3)))
+    assert same == t and hash(same) == hash(t) and len({t, same}) == 1
+    assert t != Triangulation(t.vertex_subset, ((0, 1, 3), (1, 2, 3)))
+    assert t.edges == frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (0, 3)})
+    check_triangulation(ps, t)
 
 
 def test_check_triangulation_ignores_the_vertex_order_of_each_triangle():
