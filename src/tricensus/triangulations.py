@@ -344,9 +344,8 @@ def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, 
 
     Each triangulation is a tuple of triangles from ``t.triangle``, the anchor
     triangle first, then the first sub-region's triangles, then the second's.
-    A bare-edge sub-region is never looked up or recursed into: a bare first
-    side lists as ``((),)``, one triangulation with no triangle, and a bare
-    second side takes no product at all.
+    A bare-edge sub-region lists as ``((),)``, one triangulation with no
+    triangle, and is never looked up or recursed into.
     """
     triangle = t.triangle
     if len(boundary) == 3 and not inside:
@@ -358,21 +357,18 @@ def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, 
     out = []
     for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, True):
         tri = (triangle_ab[v],)
-        parts1 = ((),)
+        parts1 = parts2 = ((),)
         if j != 2:
             parts1 = memo.get(edges1)
             if parts1 is None:
                 parts1 = _enumerate_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v), inside1,
                                            edges1, memo)
-        # tri + () is tri itself, so a bare first side builds no extra tuple;
-        # a bare second side is the unit and takes no product
         if 0 < j < k - 1:
             parts2 = memo.get(edges2)
             if parts2 is None:
                 parts2 = _enumerate_region(t, cyc[j:] + (a,), inside2, edges2, memo)
-            out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
-        else:
-            out += [tri + p1 for p1 in parts1]
+        # tri + () is tri itself, so a bare side builds no extra tuple
+        out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
     result = tuple(out)
     memo[edges] = result
     return result

@@ -122,30 +122,28 @@ import contextlib, io, json, sys
 import tricensus, tricensus.cli
 pool_modules = ("multiprocessing", "concurrent.futures.process")
 loaded = [[m in sys.modules for m in pool_modules]]
-argv = ["verify", "--family", "random", "--n", "6", "--trials", "3", "--seed", "4", "--report"]
+argv = ["verify", "--family", "random", "--n", "6", "--trials", "3", "--seed", "4"]
 with contextlib.redirect_stdout(io.StringIO()):
-    codes = [tricensus.cli.main([*argv, sys.argv[1]])]
+    codes = [tricensus.cli.main(argv)]
     loaded.append([m in sys.modules for m in pool_modules])
-    codes.append(tricensus.cli.main([*argv, sys.argv[2], "--jobs", "2"]))
+    codes.append(tricensus.cli.main([*argv, "--jobs", "2"]))
 loaded.append([m in sys.modules for m in pool_modules])
 print(json.dumps({"loaded": loaded, "codes": codes}))
 """
 
 
-def test_only_a_pooled_run_loads_the_process_pool(tmp_path):
+def test_only_a_pooled_run_loads_the_process_pool():
     """A fresh interpreter, since pytest's own process may hold multiprocessing
     already: importing the package and a serial verify load neither
     multiprocessing nor the pool; a --jobs 2 run over three instances loads
-    both and writes the serial report apart from the jobs echo."""
-    serial, pooled = tmp_path / "serial.jsonl", tmp_path / "pooled.jsonl"
+    both."""
     env = dict(os.environ, PYTHONPATH=str(Path(tricensus.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", _POOL_MODULES_SCRIPT, str(serial), str(pooled)],
+    run = subprocess.run([sys.executable, "-c", _POOL_MODULES_SCRIPT],
                          capture_output=True, text=True, env=env, timeout=120)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
     assert result["codes"] == [0, 0]
     assert result["loaded"] == [[False, False], [False, False], [True, True]]
-    assert pooled.read_text() == serial.read_text().replace('"jobs": 1', '"jobs": 2')
 
 
 def test_run_corpus_empty():
