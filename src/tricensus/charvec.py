@@ -22,12 +22,16 @@ only on its two bracketing chain nodes.
 *Radial frames.*  Fix a center and points sorted counter-clockwise from a
 deterministic reference direction parallel to no center-to-point ray.  A
 *good* polygon is a vertex subset whose consecutive counter-clockwise
-angular gaps at the center are all less than a half-turn.  The bit of a
-non-vertex point is 1 when the center lies strictly inside the convex cone
-spanned at the point by the rays to its bracketing polygon vertices (the
-angle containing the center is less than a half-turn); for polygon vertices
-the rule flips.  The polygon-to-vector map is injective, and its image is
-invariant under moving any point along its ray from the center.
+angular gaps at the center are all less than a half-turn.  A point's bit is
+1 when the center lies strictly inside the cone spanned at the point by the
+rays to its bracketing polygon vertices, flipped for a vertex.  For a chord
+spanning less than a half-turn at the center this is the angle-frame rule:
+the point lies on the other side of the chord from the center.  A chord
+spanning more, which only a vertex's two neighbors can, has the center
+inside its triangle with the vertex.  Polygon vectors are the same fold of
+chord masks as polyline vectors.  The polygon-to-vector map is injective,
+and its image is invariant under moving any point along its ray from the
+center.
 
 ``project_to_convex_position`` implements the outward projection used to
 compare a point set against a convex configuration: every interior point
@@ -38,11 +42,10 @@ position) and retried with smaller overshoots until it passes.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, cmp_to_key
-from itertools import chain, combinations
+from itertools import chain, combinations, permutations
 
 from .errors import ConstructionError, SizeCapError
 from .geom import Point, PointSet, general_position_violation, integer_view, turn
@@ -197,15 +200,17 @@ class RadialFrame:
 
     The order starts at ``reference``, the first direction from the fixed
     sequence (0,-1), (1,0), (1,-1), (1,-2), ... that is parallel to no
-    center-to-point ray.  ``xy`` and ``center_xy`` are the :func:`integer_view`
-    of the points and the center, which :func:`build_radial_frame` builds once.
+    center-to-point ray.  ``ccw[u]`` has bit v set when P_v is less than a
+    half-turn ccw from P_u.  ``beyond[u][v]`` has bit k set, for P_k strictly
+    inside the ccw interval from P_u to P_v, when the center lies strictly
+    inside the cone at P_k spanned by the rays to P_u and P_v.
     """
 
     center: Point
     points: tuple[Point, ...]
     reference: tuple[int, int]
-    xy: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
-    center_xy: tuple[int, int] = field(compare=False, repr=False)
+    ccw: tuple[int, ...] = field(compare=False, repr=False)
+    beyond: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
 
 def _reference_direction(center: tuple[int, int], xy) -> tuple[int, int]:
@@ -223,6 +228,7 @@ def _reference_direction(center: tuple[int, int], xy) -> tuple[int, int]:
 
 
 def build_radial_frame(center: Point, pts) -> RadialFrame:
+    """Validate the configuration, sort the points ccw and build the masks."""
     pts = list(pts)
     view = integer_view([center, *pts])
     witness = general_position_violation(view)
@@ -243,7 +249,20 @@ def build_radial_frame(center: Point, pts) -> RadialFrame:
         return -turn(c, xy[i], xy[j])
 
     order = sorted(range(len(pts)), key=cmp_to_key(cmp))
-    return RadialFrame(center, tuple(pts[i] for i in order), ref, tuple(xy[i] for i in order), c)
+    ring = [xy[i] for i in order]
+    n = len(ring)
+    ccw = [sum(1 << v for v in range(n) if turn(c, p, ring[v]) == 1) for p in ring]
+    beyond = [[0] * n for _ in ring]
+    for u, v in permutations(range(n), 2):
+        if (ccw[u] >> v) & 1:  # in the cone when beyond the chord, as in an angle frame
+            p, q = ring[u], ring[v]
+            side = turn(p, q, c)
+            between = ((u + j) % n for j in range(1, (v - u) % n))
+            beyond[u][v] = sum(1 << k for k in between if turn(p, q, ring[k]) != side)
+        else:  # in the cone when within a half-turn of both ends: inside triangle u, k, v
+            beyond[u][v] = ccw[u] & ~ccw[v]
+    return RadialFrame(center, tuple(pts[i] for i in order), ref, tuple(ccw),
+                       tuple(map(tuple, beyond)))
 
 
 def is_good_polygon(frame: RadialFrame, vertices) -> bool:
@@ -254,11 +273,7 @@ def is_good_polygon(frame: RadialFrame, vertices) -> bool:
         return False
     if any(not 0 <= v < n for v in verts):
         return False
-    c, xy = frame.center_xy, frame.xy
-    for m in range(len(verts)):
-        if turn(c, xy[verts[m]], xy[verts[(m + 1) % len(verts)]]) != 1:
-            return False
-    return True
+    return all((frame.ccw[u] >> v) & 1 for u, v in zip(verts, verts[1:] + verts[:1]))
 
 
 def enumerate_good_polygons(frame: RadialFrame) -> list[tuple[int, ...]]:
@@ -273,12 +288,6 @@ def enumerate_good_polygons(frame: RadialFrame) -> list[tuple[int, ...]]:
     return out
 
 
-def _center_in_cone(frame: RadialFrame, at: int, left: int, right: int) -> bool:
-    p, u, v = frame.xy[at], frame.xy[left], frame.xy[right]
-    s = turn(p, u, v)
-    return turn(p, u, frame.center_xy) == s and turn(p, frame.center_xy, v) == s
-
-
 def polygon_charvec(frame: RadialFrame, vertices) -> tuple[int, ...]:
     """Characteristic vector of a good polygon, one bit per frame point.
 
@@ -290,20 +299,15 @@ def polygon_charvec(frame: RadialFrame, vertices) -> tuple[int, ...]:
     verts = tuple(vertices)
     if not is_good_polygon(frame, verts):
         raise ValueError(f"{verts} is not a good polygon for this frame")
-    n = len(frame.points)
-    vset = set(verts)
-    m = len(verts)
-    bits = []
-    for i in range(n):
-        if i in vset:
-            pos = verts.index(i)
-            left, right = verts[pos - 1], verts[(pos + 1) % m]
-        else:
-            pos = bisect_left(verts, i)
-            left, right = verts[pos - 1], verts[pos % m]
-        in_cone = _center_in_cone(frame, i, left, right)
-        bits.append(1 if in_cone != (i in vset) else 0)
-    return tuple(bits)
+    beyond = frame.beyond
+    # a non-vertex takes its bit from the polygon side over it, a vertex the
+    # flipped bit from the chord joining its two neighbors
+    mask = 0
+    for u, v in zip(verts, verts[1:] + verts[:1]):
+        mask |= beyond[u][v]
+    for u, k, v in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
+        mask |= ~beyond[u][v] & (1 << k)
+    return tuple((mask >> k) & 1 for k in range(len(frame.points)))
 
 
 def charvec_image(frame: RadialFrame) -> set[tuple[int, ...]]:
@@ -328,6 +332,8 @@ def find_charvec_collision(frame: RadialFrame, polygons):
 
 def move_along_ray(frame: RadialFrame, i: int, t) -> RadialFrame:
     """Rebuild the frame with point i moved to center + t * (point - center), t > 0."""
+    if not 0 <= i < len(frame.points):
+        raise ValueError(f"point index {i} is not in [0, {len(frame.points)})")
     t = Fraction(t)
     if t <= 0:
         raise ValueError("the ray parameter must be positive")
@@ -352,15 +358,15 @@ def ray_move_preserves_image(frame: RadialFrame, i: int, t) -> bool:
 # ---------------------------------------------------------------------------
 
 def _ray_exit(ps: PointSet, origin: Point, through: Point):
-    """Hull edge crossed by the ray origin -> through, with its parameters.
+    """Where the ray origin -> through leaves the hull, and the profile there.
 
-    Returns (edge position, t, u) where the exit point is
-    origin + u*(through - origin) and sits at fraction t along the edge.
+    Returns (u, h): the ray leaves at origin + u*(through - origin), at
+    fraction t along hull edge e, and ray parameter u + h lies t*(1 - t)/|e|
+    beyond e, on a concave arc over the edge.
     """
     dx = through.x - origin.x
     dy = through.y - origin.y
-    sides = ps.hull_sides()
-    for pos, (qi, ri) in enumerate(sides):
+    for qi, ri in ps.hull_sides():
         q = ps.points[qi]
         r = ps.points[ri]
         ex = r.x - q.x
@@ -374,7 +380,7 @@ def _ray_exit(ps: PointSet, origin: Point, through: Point):
         t = (wx * dy - wy * dx) / den
         if 0 < t < 1 and u > 0:
             assert u > 1, "interior point found outside its own hull"
-            return pos, t, u
+            return u, t * (1 - t) / den
     raise AssertionError("ray from an interior configuration never left the hull")
 
 
@@ -384,10 +390,10 @@ def project_to_convex_position(ps: PointSet, pivot: int) -> PointSet:
     The result keeps hull points and the pivot fixed, replaces each other
     interior point by one beyond the hull on the same ray, and is verified
     to be in general position with the hull and projected points in convex
-    position.  Round 0 doubles each exit distance; later rounds place the
-    points at heights following a concave per-edge profile, halving the
-    scale each retry, so verification is guaranteed to succeed eventually.
-    Point order is preserved, so indices keep their meaning.
+    position.  The points sit at heights following a concave per-edge
+    profile; each retry halves the scale, so verification is guaranteed to
+    succeed eventually.  Point order is preserved, so indices keep their
+    meaning.
     """
     if not 0 <= pivot < len(ps.points):
         raise ValueError(f"pivot {pivot} out of range")
@@ -399,21 +405,12 @@ def project_to_convex_position(ps: PointSet, pivot: int) -> PointSet:
     hull_set = set(ps.hull)
     expected_hull = hull_set | set(movers)
     expected_interior = {pivot} - hull_set
-    sides = ps.hull_sides()
 
     for rnd in range(PROJECTION_ROUNDS):
+        scale = Fraction(1, 1 << rnd)
         new_pts = list(ps.points)
-        for i in movers:
-            pos, t, u = exits[i]
-            if rnd == 0:
-                overshoot = u
-            else:
-                qi, ri = sides[pos]
-                q, r = ps.points[qi], ps.points[ri]
-                den = ((ps.points[i].x - origin.x) * (r.y - q.y)
-                       - (ps.points[i].y - origin.y) * (r.x - q.x))
-                overshoot = Fraction(1, 1 << (rnd - 1)) * t * (1 - t) / den
-            s = u + overshoot
+        for i, (u, height) in exits.items():
+            s = u + scale * height
             p = ps.points[i]
             new_pts[i] = Point(origin.x + s * (p.x - origin.x), origin.y + s * (p.y - origin.y))
         try:

@@ -495,8 +495,11 @@ def check_triangulation(ps: PointSet, tri: Triangulation) -> None:
     and triangle counts.
     """
     pts = ps.points
-    tab = ps.orient_table()
     sub = tri.vertex_subset
+    outside = [v for v in sub.union(*tri.triangles) if not 0 <= v < len(pts)]
+    if outside:
+        raise ValueError(f"vertex index {min(outside)} is not in [0, {len(pts)})")
+    tab = ps.orient_table()
     if not set(ps.hull) <= sub:
         raise ValueError("vertex subset does not contain the hull")
     used = set()

@@ -1,4 +1,6 @@
-"""Acceptance suite: one test per criterion, each printing a PASS line.
+"""Acceptance suite: one test per criterion, each printing a PASS line, and
+a check that the outward projection's first placement verifies on the
+criterion 9 corpus.
 
 Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines; a plain ``pytest`` run checks the same assertions.
@@ -6,7 +8,10 @@ lines; a plain ``pytest`` run checks the same assertions.
 
 import time
 from fractions import Fraction
+from itertools import count, islice
+from types import SimpleNamespace
 
+from tricensus import charvec
 from tricensus.catalan import (
     catalan,
     catalan_by_convolution,
@@ -256,30 +261,30 @@ def test_criterion_08_polygon_charvec_suite():
           f"under {moved} ray moves")
 
 
+def _projection_corpus():
+    """The first 100 seeded random sets with an interior point, each with its
+    pivot: an interior point close to no side, when there is one and another
+    interior point to push, or else the first hull point."""
+    sets = (gen_random(5 + k % 5, 40, seed=70_000 + k) for k in count())
+    for ps in islice((ps for ps in sets if ps.interior), 100):
+        rep = classify(ps)
+        loose = [p for p in ps.interior if p not in rep.assignment]
+        yield ps, loose[0] if loose and len(ps.interior) >= 2 else ps.hull[0]
+
+
 def test_criterion_09_outward_projection_suite():
     checked = 0
     interior_pivots = 0
-    k = 0
-    while checked < 100:
-        n = 5 + k % 5
-        ps = gen_random(n, 40, seed=70_000 + k)
-        k += 1
-        if not ps.interior:
-            continue
+    for ps, pivot in _projection_corpus():
         before = count_partial(ps)
-        rep = classify(ps)
-        loose = [p for p in ps.interior if p not in rep.assignment]
-        if loose and len(ps.interior) >= 2:
-            pivot = loose[0]
-            out = project_to_convex_position(ps, pivot)
+        out = project_to_convex_position(ps, pivot)
+        if pivot in ps.interior:
             assert out.interior == (pivot,)
             others = [out.points[i] for i in range(len(out.points)) if i != pivot]
             assert len(convex_hull(integer_view(others))) == len(others)
             assert pivot not in classify(out).assignment, "pivot became close after projection"
             interior_pivots += 1
         else:
-            pivot = ps.hull[0]
-            out = project_to_convex_position(ps, pivot)
             assert len(convex_hull(integer_view(out.points))) == len(out.points)
         assert general_position_violation(integer_view(out.points)) is None
         assert count_partial(out) <= before
@@ -287,6 +292,21 @@ def test_criterion_09_outward_projection_suite():
     assert interior_pivots >= 10
     print(f"PASS criterion 9: outward projection valid on {checked} instances "
           f"({interior_pivots} with an interior pivot), counts never increased")
+
+
+def test_outward_projection_verifies_its_first_placement(monkeypatch):
+    """On the criterion 9 corpus the first placement tried is the one returned."""
+    placements = []
+
+    def from_points(points):
+        placements.append(points)
+        return PointSet.from_points(points)
+
+    monkeypatch.setattr(charvec, "PointSet", SimpleNamespace(from_points=from_points))
+    for ps, pivot in _projection_corpus():
+        placements.clear()
+        out = project_to_convex_position(ps, pivot)
+        assert placements == [list(out.points)]
 
 
 def test_criterion_10_product_inequality_sweep():

@@ -1,7 +1,7 @@
 from bisect import bisect_left
 from fractions import Fraction
 from functools import cmp_to_key
-from itertools import combinations, count
+from itertools import combinations, count, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -182,6 +182,13 @@ def test_ray_move_rejects_nonpositive_parameter():
         move_along_ray(frame, 0, 0)
 
 
+def test_ray_move_rejects_an_index_outside_the_frame():
+    frame = gen_radial_frame(5, seed=2)
+    for i in (-1, 5, 9):
+        with pytest.raises(ValueError, match=rf"^point index {i} is not in \[0, 5\)$"):
+            move_along_ray(frame, i, 2)
+
+
 def test_ray_move_that_breaks_general_position_errors():
     # moving (1,4) to a quarter distance lands on the line through (2,1) and (6,1)
     frame = build_radial_frame(P(0, 0), [P(2, 1), P(6, 1), P(1, 4)])
@@ -286,6 +293,18 @@ def test_radial_frames_on_rational_grids_match_fraction_oracles(center, points):
     shrunk = build_radial_frame(_seventh(center), map(_seventh, pts))
     assert (shrunk.reference, shrunk.points) == (frame.reference, tuple(map(_seventh, ring)))
     assert enumerate_good_polygons(shrunk) == good
+
+    def in_cone(i, a, b):
+        """The center lies strictly inside the cone at P_i spanned by P_a and P_b."""
+        p, u, v = ring[i], ring[a], ring[b]
+        s = orient(p, u, v)
+        return orient(p, u, center) == s and orient(p, center, v) == s
+
+    # of u--v and v--u one spans more than a half-turn, so every example has such chords
+    for u, v in permutations(range(n), 2):
+        assert (frame.ccw[u] >> v) & 1 == (orient(center, ring[u], ring[v]) == 1)
+        inside = ((u + j) % n for j in range(1, (v - u) % n))
+        assert frame.beyond[u][v] == sum(in_cone(k, u, v) << k for k in inside)
     for poly in good:
         m = len(poly)
         bits = []
@@ -296,10 +315,7 @@ def test_radial_frames_on_rational_grids_match_fraction_oracles(center, points):
             else:
                 pos = bisect_left(poly, i)
                 a, b = poly[pos - 1], poly[pos % m]
-            p, u, v = ring[i], ring[a], ring[b]
-            s = orient(p, u, v)
-            in_cone = orient(p, u, center) == s and orient(p, center, v) == s
-            bits.append(int(in_cone != (i in poly)))
+            bits.append(int(in_cone(i, a, b) != (i in poly)))
         assert polygon_charvec(frame, poly) == tuple(bits) == polygon_charvec(shrunk, poly)
 
 

@@ -412,9 +412,9 @@ def test_build_radial_frame_builds_one_integer_view(monkeypatch):
     calls = _count_views(monkeypatch, geom, charvec)
     center, *pts = (P(x, y) for x, y in ((0, 0), (5, 1), (-2, 7), (-6, -3), (3, -8)))
     frame = charvec.build_radial_frame(center, pts)
+    assert charvec.enumerate_good_polygons(frame) == [(0, 2, 3), (1, 2, 3), (0, 1, 2, 3)]
+    assert charvec.polygon_charvec(frame, (0, 2, 3)) == (0, 1, 0, 0)
     assert calls == [5]
-    assert frame.center_xy == (0, 0)
-    assert frame.xy == integer_view(frame.points)
 
 
 def test_build_angle_frame_builds_one_integer_view(monkeypatch):

@@ -240,6 +240,16 @@ def test_check_triangulation_rejects_bad_cover():
             ps, Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (0, 1, 3))))
 
 
+def test_check_triangulation_rejects_an_index_outside_the_point_set():
+    ps = PointSet.from_coords([(0, 0), (5, 1), (1, 6)])
+    for t in (Triangulation(frozenset({0, 1, 2, 7}), ((0, 1, 7), (0, 1, 2))),
+              Triangulation(frozenset({0, 1, 2}), ((0, 1, 2), (0, 1, 7))),
+              Triangulation(frozenset({-1, 0, 1, 2}), ((0, 1, 2),))):
+        bad = min(t.vertex_subset.union(*t.triangles) - {0, 1, 2})
+        with pytest.raises(ValueError, match=rf"^vertex index {bad} is not in \[0, 3\)$"):
+            check_triangulation(ps, t)
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_full_count_never_below_hull_polygon_count(seed):
