@@ -276,10 +276,16 @@ def is_good_polygon(frame: RadialFrame, vertices) -> bool:
     return all((frame.ccw[u] >> v) & 1 for u, v in zip(verts, verts[1:] + verts[:1]))
 
 
-def enumerate_good_polygons(frame: RadialFrame) -> list[tuple[int, ...]]:
-    n = len(frame.points)
+def check_good_polygon_cap(n: int) -> None:
+    """Refuse to enumerate the good polygons of a frame of ``n`` points above
+    ``GOOD_POLYGON_CAP``; callers check before building the frame."""
     if n > GOOD_POLYGON_CAP:
         raise SizeCapError(f"good-polygon enumeration refused for {n} points (cap {GOOD_POLYGON_CAP})")
+
+
+def enumerate_good_polygons(frame: RadialFrame) -> list[tuple[int, ...]]:
+    n = len(frame.points)
+    check_good_polygon_cap(n)
     out = []
     for m in range(3, n + 1):
         for verts in combinations(range(n), m):

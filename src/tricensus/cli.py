@@ -178,6 +178,7 @@ def _cmd_charvec(args) -> int:
         if args.center is None:
             raise ValueError("--radial needs --center")
         center = _index(args.center, len(pts), "--center")
+        charvec.check_good_polygon_cap(len(pts) - 1)  # refused before the O(n^3) frame masks
         frame = charvec.build_radial_frame(pts[center], pts[:center] + pts[center + 1:])
 
         def polygon(poly) -> tuple[int, ...]:

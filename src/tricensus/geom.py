@@ -165,7 +165,9 @@ class PointSet:
     remaining indices in increasing order; ``xy`` is the points'
     :func:`integer_view`.  Build through :meth:`from_points`, which builds
     the view once, validates general position and takes the hull on it; the
-    raw constructor takes ``xy`` as given and trusts its caller.
+    raw constructor takes ``xy`` as given and trusts its caller.  ``_cache``
+    holds only the oracles' orientation table, built by :meth:`orient_table`;
+    counts and listings build their own tables and keep none here.
     """
 
     points: tuple[Point, ...]

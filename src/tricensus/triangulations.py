@@ -43,8 +43,9 @@ the parent's in O(1), from running prefixes along the cycle, and hands them
 down.  The recursion looks a sub-region up before it slices the sub-region's
 cycle, so a memo hit builds no tuple and needs no anchor rotation.
 
-The recursion reads integers only.  Built once per point set and order, from
-the integer coordinates ``ps.xy`` with one cross product per point triple:
+The recursion reads integers only.  Built for each count or listing, in its
+order, and dropped when it returns, from the integer coordinates ``ps.xy``
+with one cross product per point triple:
 bitmasks of the points left of each directed pair, so that a triangle's
 interior is three ANDs; per-segment masks of the directed edges that
 properly cross it, ANDed with a region's edge mask; and, from integer (y, x)
@@ -108,19 +109,16 @@ def _mask(indices) -> int:
 
 
 class _RegionTables:
-    """The integer tables the region recursion reads, built once per point set
-    and point order.
+    """The integer tables the region recursion reads, built for one count or
+    listing in one point order; nothing keeps them once it returns.
 
     ``order[r]`` is the index of the point of rank r and ``rank[i]`` is the
     rank of point i.  Every mask, cycle and apex the recursion sees is in rank
     space, so the anchor edge, the apex order and the memo key all follow
     ``order``.
-
-    ``triangle`` is ``_triangle_table(n)`` in the identity order, whose ranks
-    are the indices a listing prints, and None in the canonical order.
     """
 
-    def __init__(self, ps: PointSet, order, triangle):
+    def __init__(self, ps: PointSet, order):
         xy = [ps.xy[i] for i in order]  # xy[r]: the integer coordinates of rank r
         n = len(xy)
         rank = [0] * n
@@ -185,7 +183,6 @@ class _RegionTables:
                 if height[u] < height[v]:
                     ray[u][v] = ray[v][u] = (below[height[v]] ^ below[height[u] + 1]) & left[u][v]
         self.rank = rank
-        self.triangle = triangle
         self.left = left
         self.edge_bit = edge_bit
         self.cross = cross
@@ -203,25 +200,11 @@ class _RegionTables:
         return cyc, _mask(rank[i] for i in inside), edges
 
 
-def _tables(ps: PointSet, canonical: bool) -> _RegionTables:
-    """The region tables of ``ps``, cached per order.
-
-    The canonical order, for counting, ranks the interior points by (x, y) and
-    then the hull vertices by (x, y), so a count's work depends on the points,
-    not on their labels.  The enumerators take the identity order, so ranks
-    are indices and listings keep input index order.
-    """
-    key = "regions" if canonical else "regions_by_index"
-    tables = ps._cache.get(key)
-    if tables is None:
-        if canonical:
-            xy = ps.xy.__getitem__
-            tables = _RegionTables(ps, sorted(ps.interior, key=xy) + sorted(ps.hull, key=xy), None)
-        else:
-            n = len(ps.points)
-            tables = _RegionTables(ps, range(n), _triangle_table(n))
-        ps._cache[key] = tables
-    return tables
+def _canonical_order(ps: PointSet) -> list[int]:
+    """The canonical order the counts rank points in: the interior points by
+    (x, y), then the hull vertices by (x, y)."""
+    xy = ps.xy.__getitem__
+    return sorted(ps.interior, key=xy) + sorted(ps.hull, key=xy)
 
 
 @functools.cache
@@ -337,17 +320,18 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
     return total
 
 
-def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edges: int,
-                      memo) -> tuple:
+def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ...], inside: int,
+                      edges: int, memo) -> tuple:
     """Every triangulation of a region that is not in ``memo`` yet, in required
     mode; the listing is stored there under ``edges``.
 
-    Each triangulation is a tuple of triangles from ``t.triangle``, the anchor
-    triangle first, then the first sub-region's triangles, then the second's.
-    A bare-edge sub-region lists as ``((),)``, one triangulation with no
-    triangle, and is never looked up or recursed into.
+    ``t`` is in the identity order, so ranks are the indices a listing prints,
+    and ``triangle`` is ``_triangle_table(n)``.  Each triangulation is a tuple
+    of triangles from ``triangle``, the anchor triangle first, then the first
+    sub-region's triangles, then the second's.  A bare-edge sub-region lists
+    as ``((),)``, one triangulation with no triangle, and is never looked up
+    or recursed into.
     """
-    triangle = t.triangle
     if len(boundary) == 3 and not inside:
         return ((triangle[boundary[0]][boundary[1]][boundary[2]],),)
     cyc = _anchor_rotation(boundary)
@@ -361,12 +345,12 @@ def _enumerate_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, 
         if j != 2:
             parts1 = memo.get(edges1)
             if parts1 is None:
-                parts1 = _enumerate_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v), inside1,
-                                           edges1, memo)
+                parts1 = _enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a, v),
+                                           inside1, edges1, memo)
         if 0 < j < k - 1:
             parts2 = memo.get(edges2)
             if parts2 is None:
-                parts2 = _enumerate_region(t, cyc[j:] + (a,), inside2, edges2, memo)
+                parts2 = _enumerate_region(t, triangle, cyc[j:] + (a,), inside2, edges2, memo)
         # tri + () is tri itself, so a bare side builds no extra tuple
         out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
     result = tuple(out)
@@ -386,7 +370,7 @@ def _check_subset(ps: PointSet, vertex_subset) -> frozenset[int]:
 def count_on_subset(ps: PointSet, vertex_subset) -> int:
     """Number of triangulations of conv(M) using exactly the given vertices."""
     sub = _check_subset(ps, vertex_subset)
-    t = _tables(ps, True)
+    t = _RegionTables(ps, _canonical_order(ps))
     return _count_region(t, *t.region(ps.hull, sub.difference(ps.hull)), True, {})
 
 
@@ -397,7 +381,7 @@ def count_full(ps: PointSet) -> int:
 
 def count_partial(ps: PointSet) -> int:
     """Number of partial triangulations: one optional-mode region recursion."""
-    t = _tables(ps, True)
+    t = _RegionTables(ps, _canonical_order(ps))
     return _count_region(t, *t.region(ps.hull, ps.interior), False, {})
 
 
@@ -407,14 +391,16 @@ def _listing(ps: PointSet, interior_sets) -> list[Triangulation]:
     n = len(ps.points)
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
-    # identity order: ranks are indices, so the listed triangles need no mapping back
-    t = _tables(ps, False)
+    # identity order: ranks are indices, so the listed triangles need no mapping
+    # back; one set of tables serves every interior set
+    t = _RegionTables(ps, range(n))
+    triangle = _triangle_table(n)
     hull = frozenset(ps.hull)
     out: list[Triangulation] = []
     for extra in interior_sets:
         sub = hull | extra
         out += [Triangulation(sub, tuple(sorted(tris)))
-                for tris in _enumerate_region(t, *t.region(ps.hull, extra), {})]
+                for tris in _enumerate_region(t, triangle, *t.region(ps.hull, extra), {})]
     return out
 
 

@@ -160,6 +160,15 @@ def test_good_polygon_enumeration_cap():
         enumerate_good_polygons(frame)
 
 
+def test_frames_reject_a_collinear_triple():
+    with pytest.raises(ValueError) as rejected:
+        build_angle_frame(APEX, LEFT, RIGHT, [P(0, 1), P(0, 2)])
+    assert str(rejected.value) == "frame points not in general position: indices (0, 3, 4)"
+    with pytest.raises(ValueError) as rejected:
+        build_radial_frame(P(0, 0), [P(1, 1), P(2, 2), P(-3, 1)])
+    assert str(rejected.value) == "frame points not in general position: indices (0, 1, 2)"
+
+
 def test_ray_move_identity():
     frame = gen_radial_frame(5, seed=8)
     assert ray_move_preserves_image(frame, 2, 1)

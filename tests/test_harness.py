@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tricensus
-from tricensus import charvec
+from tricensus import charvec, triangulations
 from tricensus.cli import main
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
 from tricensus.geom import PointSet, save_point_set
@@ -47,13 +47,22 @@ def test_verify_instance_double_circle():
     assert v.lower_bound_ok and v.equality_iff_ok
 
 
-def test_verify_instance_cap_skips():
+def _forbid_tables(m: pytest.MonkeyPatch) -> None:
+    """Make building a region table or the orientation table fail."""
+    def built(*args):
+        raise AssertionError("a table was built for a skipped instance")
+
+    m.setattr(triangulations, "_RegionTables", built)
+    m.setattr(PointSet, "orient_table", built)
+
+
+def test_verify_instance_cap_skips(monkeypatch):
     ps = gen_convex(13, 64, seed=0)
+    # the cap is decided before any table or region mask is built
+    _forbid_tables(monkeypatch)
     v = verify_instance(ps, "big", cap=12)
     assert v.skipped and "cap" in v.skip_reason
     assert v.partial_count is None
-    # the cap is decided before any table or region mask is built
-    assert "orient" not in ps._cache and "regions" not in ps._cache
 
 
 FAMILIES = st.sampled_from(["convex", "double_circle", "quasi_convex", "random"])
@@ -65,12 +74,14 @@ def test_verify_instance_skips_exactly_above_the_cap(family, n, cap, seed):
     if family == "double_circle":
         n = max(6, n + n % 2)
     ps = generate(GenSpec(family, n, 64, seed, (0,) if family == "quasi_convex" else None))
-    v = verify_instance(ps, "drawn", cap)
+    with pytest.MonkeyPatch.context() as m:
+        if n > cap:  # a skipped instance builds neither the orientation table nor any region table
+            _forbid_tables(m)
+        v = verify_instance(ps, "drawn", cap)
     assert v.skipped == (n > cap)
     if v.skipped:
         assert v.skip_reason == f"size {n} exceeds cap {cap}"
         assert v.partial_count is None
-        assert not ps._cache  # neither the orientation table nor any region table
     else:
         assert v.partial_count is not None and v.lower_bound_ok and v.equality_iff_ok
 
@@ -333,6 +344,22 @@ def test_cli_charvec_check_psi_refuses_a_center_no_good_polygon_wraps(tmp_path, 
     assert capsys.readouterr().out == "injective over 31 good polygons\n"
 
 
+def test_cli_charvec_radial_refuses_above_the_cap_before_building_the_frame(
+        tmp_path, capsys, monkeypatch):
+    target = tmp_path / "dc30.pts"
+    assert main(["gen", "--family", "double_circle", "--n", "30", "-o", str(target)]) == 0
+    capsys.readouterr()
+
+    def built(*args):
+        raise AssertionError("the radial frame was built before the size cap was checked")
+
+    monkeypatch.setattr(charvec, "build_radial_frame", built)
+    for extra in ([], ["--check-psi"]):
+        assert main(["charvec", str(target), "--radial", "--center", "15", *extra]) == 1
+        assert capsys.readouterr() == (
+            "", "tricensus: refused: good-polygon enumeration refused for 29 points (cap 10)\n")
+
+
 def test_cli_charvec_check_psi_enumerates_the_good_polygons_once(tmp_path, capsys, monkeypatch):
     target = tmp_path / "dc8.pts"
     save_point_set(target, gen_double_circle(4))
@@ -453,6 +480,46 @@ def test_cli_charvec_rejects_malformed_chi(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.err == f"tricensus: error: --chi: {problem}, got {chi!r}\n"
         assert captured.out == ""
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["--radial"], "--radial needs --center"),
+    (["--apex", "1", "--arms", "0,2"], "angle mode needs --apex, --arms and --chi"),
+])
+def test_cli_charvec_rejects_a_missing_flag(tmp_path, capsys, argv, message):
+    target = tmp_path / "dc8.pts"
+    save_point_set(target, gen_double_circle(4))
+    assert main(["charvec", str(target), *argv]) == 1
+    assert capsys.readouterr() == ("", f"tricensus: error: {message}\n")
+
+
+def test_cli_verify_rejects_a_glob_that_matches_no_file(tmp_path, capsys):
+    pattern = str(tmp_path / "missing*.pts")
+    assert main(["verify", "--input", pattern]) == 1
+    assert capsys.readouterr() == ("", f"tricensus: error: no files match {pattern!r}\n")
+
+
+def test_run_corpus_rejects_an_unknown_family():
+    with pytest.raises(ValueError) as rejected:
+        run_corpus(RunConfig(family="mystery"))
+    assert str(rejected.value) == "unknown family 'mystery'"
+
+
+@pytest.mark.parametrize("spec, text", [
+    (["--family", "double_circle", "--n", "8"],
+     "quasi-convex\n"
+     "point 4 close to side 0-1\npoint 5 close to side 1-2\n"
+     "point 6 close to side 2-3\npoint 7 close to side 3-0\n"
+     "order: 1 5 2 6 3 7 0 4\n"),
+    (["--family", "random", "--n", "9", "--seed", "3"],
+     "not quasi-convex\npoint 3 close to side 6-2\n"),
+], ids=["double_circle8", "random9"])
+def test_cli_classify_plain_text(tmp_path, capsys, spec, text):
+    target = tmp_path / "set.pts"
+    assert main(["gen", *spec, "-o", str(target)]) == 0
+    capsys.readouterr()
+    assert main(["classify", str(target)]) == 0
+    assert capsys.readouterr() == (text, "")
 
 
 def test_cli_gen_rejects_out_of_range_or_repeated_sides(tmp_path, capsys):

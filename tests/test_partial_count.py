@@ -21,8 +21,9 @@ from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
 from tricensus.geom import Point, PointSet, general_position_violation, integer_view
 from tricensus import triangulations
 from tricensus.triangulations import (
+    _RegionTables,
+    _canonical_order,
     _region_splits,
-    _tables,
     brute_force_count,
     count_full,
     count_partial,
@@ -213,8 +214,8 @@ def test_split_masks_describe_their_sub_regions(coords, required, canonical):
     assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     tab = ps.orient_table()
-    t = _tables(ps, canonical)
     n = len(points)
+    t = _RegionTables(ps, _canonical_order(ps) if canonical else range(n))
     index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
     interior_ranks = [t.rank[i] for i in ps.interior]
 

@@ -24,8 +24,9 @@ from tricensus.geom import (
 from tricensus import triangulations
 from tricensus.triangulations import (
     Triangulation,
+    _RegionTables,
+    _canonical_order,
     _segments_cross,
-    _tables,
     brute_force_count,
     check_triangulation,
     count_full,
@@ -86,14 +87,17 @@ def test_enumerate_full_respects_cap():
 
 @pytest.mark.parametrize("ps", [gen_convex(15, 64, seed=1), gen_random(15, 256, 1)],
                          ids=["convex15", "random15"])
-def test_enumeration_cap_is_decided_before_any_work(ps):
+def test_enumeration_cap_is_decided_before_any_work(ps, monkeypatch):
+    def built(*args):
+        raise AssertionError("a table was built before the size cap was checked")
+
+    # neither the listing's region tables nor the orientation table may be built
+    monkeypatch.setattr(triangulations, "_RegionTables", built)
+    monkeypatch.setattr(PointSet, "orient_table", built)
     for enumerate_all in (enumerate_full, enumerate_partial):
         with pytest.raises(SizeCapError) as refused:
             enumerate_all(ps)
         assert str(refused.value) == "enumeration refused for 15 points (cap 14)"
-    # neither the orientation table nor the listing's region tables were built
-    assert "orient" not in ps._cache
-    assert "regions_by_index" not in ps._cache
 
 
 def test_cli_count_enumerate_refuses_above_the_cap(tmp_path, capsys):
@@ -250,6 +254,25 @@ def test_check_triangulation_rejects_an_index_outside_the_point_set():
             check_triangulation(ps, t)
 
 
+@pytest.mark.parametrize("coords, sub, triangles, message", [
+    ([(0, 0), (5, 1), (6, 5), (1, 6)], {0, 1, 2}, ((0, 1, 2),),
+     "vertex subset does not contain the hull"),
+    ([(0, 0), (5, 1), (6, 5), (1, 6)], {0, 1, 2, 3}, ((0, 0, 1), (0, 1, 2), (0, 2, 3)),
+     "degenerate triangle (0, 0, 1)"),
+    (TRIANGLE_PLUS_ONE, {0, 1, 2}, ((0, 1, 3), (1, 2, 3), (0, 3, 2)),
+     "triangle (0, 1, 3) uses a vertex outside the subset"),
+    ([(0, 0), (40, 0), (20, 40), (18, 10), (24, 10), (21, 16)], {0, 1, 2, 3, 4, 5},
+     ((0, 1, 2), (3, 4, 5)), "triangles (0, 1, 2) and (3, 4, 5) overlap (nested vertex)"),
+    ([(0, 0), (10, 0), (14, 8), (5, 14), (-4, 8)], {0, 1, 2, 3, 4}, ((0, 1, 2), (0, 3, 4)),
+     "area mismatch: triangles cover 176, hull is 332"),
+], ids=["hull-missing", "degenerate", "outside-subset", "nested", "area"])
+def test_check_triangulation_rejections(coords, sub, triangles, message):
+    ps = PointSet.from_coords(coords)
+    with pytest.raises(ValueError) as rejected:
+        check_triangulation(ps, Triangulation(frozenset(sub), triangles))
+    assert str(rejected.value) == message
+
+
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=0, max_value=10_000))
 def test_full_count_never_below_hull_polygon_count(seed):
@@ -269,8 +292,8 @@ def test_crossing_table_holds_exactly_the_properly_crossing_edges(coords, canoni
     assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     tab = ps.orient_table()
-    t = _tables(ps, canonical)
     n = len(points)
+    t = _RegionTables(ps, _canonical_order(ps) if canonical else range(n))
     index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
     for p, q in combinations(range(n), 2):
         want = sum(1 << (c * n + d) for c in range(n) for d in range(n)
@@ -288,9 +311,9 @@ def test_left_masks_follow_the_orientation_table(coords, canonical):
     points = [Point(x, y) for x, y in coords]
     assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
-    t = _tables(ps, canonical)
-    tab = ps.orient_table()
     n = len(points)
+    t = _RegionTables(ps, _canonical_order(ps) if canonical else range(n))
+    tab = ps.orient_table()
     index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
     for p in range(n):
         for q in range(n):
@@ -303,8 +326,19 @@ def test_counts_build_no_orientation_table():
         count_partial(ps)
         count_full(ps)
         assert "orient" not in ps._cache
-        assert "regions" in ps._cache
+        assert ps._cache == {}
 
+
+def test_counts_and_listings_keep_nothing_on_the_point_set():
+    """Each count or listing builds the tables it reads and drops them when it
+    returns, so the point set carries no table afterwards."""
+    for ps in (gen_random(9, 64, seed=5), gen_double_circle(4)):
+        count_partial(ps)
+        count_full(ps)
+        count_on_subset(ps, ps.hull)
+        enumerate_full(ps)
+        enumerate_partial(ps)
+        assert ps._cache == {}
 
 
 def _listing_work(enumerate_all, ps, monkeypatch):
@@ -359,10 +393,6 @@ def test_listings_share_one_ascending_tuple_per_triangle(n, seed, partial):
     assert all(a < b < c for a, b, c in listed)
     assert all(all(s < u for s, u in zip(t.triangles, t.triangles[1:])) for t in tris)
     assert len({id(tri) for tri in listed}) == len(set(listed))
-    # only the identity order, whose ranks are indices, carries the shared triples
-    count_partial(ps)
-    assert _tables(ps, True).triangle is None
-    assert _tables(ps, False).triangle is not None
 
 # SHA-256 of the stdout of `tricensus count <file> --mode <mode> --enumerate`
 # for `tricensus gen` outputs, with the count it prints on stderr.  The
