@@ -12,12 +12,15 @@ inside the triangle (q, r, a) exactly when p is left of r -> a and of a -> q:
 two orientation signs per apex, taken as integer cross products on the
 set's exact integer view ``ps.xy``.
 
-Since p is left of a -> q exactly when a is left of q -> p, a point p close
-to q -> r has every point other than q, r and p left of the ray q -> p: it
-is the extreme point seen from q, the one whose ray turns least from q -> r.
-:func:`classify` finds that one candidate per side with an O(n) scan and
-confirms it with :func:`find_blocking_apex`, so a set costs at most one
-confirmation per hull side.
+Since p is left of a -> q exactly when a is left of q -> p, and left of
+r -> a exactly when a is left of p -> r, p is close to q -> r exactly when
+every point other than q, r and p is left of q -> p and left of p -> r.
+The first condition makes p the extreme point seen from q, the one whose ray
+turns least from q -> r; the second makes it the extreme point seen from r,
+the one whose ray turns least from r -> q.  :func:`classify` takes the
+candidate of an O(n) scan from q and keeps it when the scan from r picks it
+too, so a set costs at most two scans per hull side and no
+:func:`find_blocking_apex` call.
 """
 
 from __future__ import annotations
@@ -70,9 +73,10 @@ def classify(ps: PointSet) -> QuasiConvexReport:
     """Assign each interior point its first close hull side and assemble the report.
 
     When the set is quasi-convex the report carries the quasi-convex polygon
-    order.  Sides are taken in hull order, and each side's one candidate is
-    confirmed only while it is unassigned, so every point gets its first
-    close side.
+    order.  Sides are taken in hull order.  Each side's candidate is the
+    point turning least from q -> r seen from q; while it is interior and
+    unassigned, it is close exactly when no other point turns less from
+    r -> q seen from r, so every point gets its first close side.
     """
     sides = ps.hull_sides()
     hull, xy = ps.hull, ps.xy
@@ -90,7 +94,20 @@ def classify(ps: PointSet) -> QuasiConvexReport:
         for i, x, y in inner:
             if (bx - qx) * (y - qy) < (by - qy) * (x - qx):  # i is right of q -> best
                 best, bx, by = i, x, y
-        if best != after and best not in found and find_blocking_apex(ps, best, side) is None:
+        if best == after or best in found:
+            continue
+        # Seen from r the hull vertices turn cw in hull order from q, so the
+        # vertex before q is the only one that can turn less than an interior
+        # point; best is close when nothing is left of r -> best.
+        rx, ry = xy[r]
+        ux, uy = bx - rx, by - ry
+        x, y = xy[hull[j - 1]]
+        if ux * (y - ry) > uy * (x - rx):
+            continue
+        for _, x, y in inner:
+            if ux * (y - ry) > uy * (x - rx):
+                break
+        else:
             found[best] = side
             by_side[side] = best
     assignment = dict(sorted(found.items()))

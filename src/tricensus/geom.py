@@ -15,10 +15,13 @@ enter.  A :class:`PointSet` carries its view as ``xy`` (O(n) memory), and
 
 Point sets are validated to be in general position (pairwise distinct, no
 three collinear) when built through :meth:`PointSet.from_points`; every
-other module relies on that.  One routine, :func:`added_xy_violation`,
-checks a new point against points already in general position; every check
-goes through it.  It hashes the reduced integer direction from the new point
-to each other point, so a whole set takes O(n^2).
+other module relies on that.  One rule checks a new point against points
+already in general position, and :func:`added_xy_violation` and
+:func:`general_position_violation` both use it.  It keys each other point
+by its exact integer slope from the new point, the floor of dy * D^2 / dx
+for the x-extent D of the points, with one key for vertical neighbours; two
+points share a key exactly when they are collinear with the new point, so a
+whole set takes O(n^2).
 
 The module also owns the "tricensus points v1" text format::
 
@@ -35,14 +38,13 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 from pathlib import Path
 
 POINTS_HEADER = "# tricensus points v1"
 
 def _coord(value) -> Fraction:
-    if isinstance(value, Fraction):
-        return value
+    """A non-Fraction coordinate as a Fraction; only ints qualify."""
     if isinstance(value, int):
         return Fraction(value)
     raise TypeError(f"coordinate must be int or Fraction, got {type(value).__name__}")
@@ -56,8 +58,10 @@ class Point:
     y: Fraction
 
     def __post_init__(self):
-        object.__setattr__(self, "x", _coord(self.x))
-        object.__setattr__(self, "y", _coord(self.y))
+        if not isinstance(self.x, Fraction):
+            object.__setattr__(self, "x", _coord(self.x))
+        if not isinstance(self.y, Fraction):
+            object.__setattr__(self, "y", _coord(self.y))
 
     def __iter__(self):
         yield self.x
@@ -122,36 +126,63 @@ def convex_hull(xy) -> list[int]:
     return hull
 
 
+def _slope_scale(xy) -> int:
+    """D^2 for the x-extent D of ``xy``, or 1 when D is 0."""
+    xs = [x for x, _ in xy]
+    return (max(xs) - min(xs)) ** 2 or 1
+
+
+def _slope_violation(xy, new: tuple[int, int], m: int) -> tuple[int, ...] | None:
+    """:func:`added_xy_violation` with the slope scale ``m`` of a set that
+    holds ``xy`` and ``new``."""
+    nx, ny = new
+    first: dict[int | None, int] = {}
+    pair = None
+    for i, (x, y) in enumerate(xy):
+        dx = x - nx
+        if dx:
+            key = (y - ny) * m // dx
+        elif y == ny:
+            return (i,)
+        else:
+            key = None  # vertical
+        j = first.setdefault(key, i)
+        if j != i and (pair is None or j < pair[0]):
+            pair = (j, i)
+    return pair
+
+
 def added_xy_violation(xy, new: tuple[int, int]) -> tuple[int, ...] | None:
     """For integer pairs ``xy`` in general position: ``(i,)`` if ``xy[i] == new``,
     ``(i, j)`` with i < j if both are collinear with ``new``, else None.  O(n).
 
     An equal point wins over a collinear pair, and of several collinear pairs
     the lexicographically smallest is returned.  Each ``xy[i]`` is keyed by
-    the direction ``new -> xy[i]`` reduced by its gcd, with a fixed sign, so
-    two points are collinear with ``new`` iff their keys match.
+    the floor of its slope from ``new`` times m = D^2, where D is the x-extent
+    of ``xy`` and ``new`` (m = 1 when D is 0); vertical neighbours share one
+    key.  Equal slopes give equal keys, and two different slopes dy/dx with
+    |dx| <= D differ by at least 1/D^2, so their scaled floors differ: two
+    points are collinear with ``new`` iff their keys match.
     """
-    nx, ny = new
-    first: dict[tuple[int, int], int] = {}
-    pair = None
-    for i, (x, y) in enumerate(xy):
-        dx, dy = x - nx, y - ny
-        g = gcd(dx, dy)
-        if g == 0:
-            return (i,)
-        if dx < 0 or (dx == 0 and dy < 0):
-            g = -g
-        j = first.setdefault((dx // g, dy // g), i)
-        if j != i and (pair is None or j < pair[0]):
-            pair = (j, i)
-    return pair
+    return _slope_violation(xy, new, _slope_scale((*xy, new)))
 
 
 def general_position_violation(xy) -> tuple[int, ...] | None:
     """Ascending duplicate pair or collinear triple of integer pairs ending at
-    the first index that breaks general position, or None."""
+    the first index that breaks general position, or None.  O(n^2), with one
+    slope scale for the whole set."""
+    if len(xy) < 2:
+        return None
+    m = _slope_scale(xy)
+    # Collinear points always share a key, so in a set without equal points a
+    # prefix whose keys are all distinct breaks nothing; only the others need
+    # the witness scan.
+    distinct = len(set(xy)) == len(xy)
     for k in range(1, len(xy)):
-        witness = added_xy_violation(xy[:k], xy[k])
+        nx, ny = xy[k]
+        if distinct and len({(y - ny) * m // (x - nx) if x != nx else None for x, y in xy[:k]}) == k:
+            continue
+        witness = _slope_violation(xy[:k], xy[k], m)
         if witness is not None:
             return (*witness, k)
     return None
@@ -236,7 +267,7 @@ def _parse_coord(token: str) -> Fraction:
     if not match:
         raise ValueError(f"bad coordinate {token!r}: expected an integer or p/q with q > 0")
     p, q = match.groups()
-    return Fraction(int(p), int(q or 1))
+    return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
 
 
 def parse_points_text(text: str) -> list[Point]:

@@ -276,20 +276,42 @@ def test_triangle_point_takes_its_first_close_side():
     assert report.polygon_order == (0, 3, 1, 2)
 
 
-def test_classify_confirms_at_most_one_candidate_per_side(monkeypatch):
-    calls = []
+def test_classify_calls_no_blocking_apex_scan(monkeypatch):
+    def refuse(ps, p, side):
+        raise AssertionError(f"classify called find_blocking_apex({p}, {side})")
 
-    def counted(ps, p, side):
-        calls.append((p, side))
-        return find_blocking_apex(ps, p, side)
+    sets = (gen_double_circle(10), gen_quasi_convex(8, (1, 4, 5)), gen_random(12, 48, seed=4),
+            PointSet.from_coords(PENTAGON_PLUS_CENTER))
+    with monkeypatch.context() as patch:
+        patch.setattr(closeness, "find_blocking_apex", refuse)
+        reports = [classify(ps) for ps in sets]
+    for ps, report in zip(sets, reports):
+        assert report == _assert_matches_references(ps)
 
-    monkeypatch.setattr(closeness, "find_blocking_apex", counted)
-    for ps in (gen_double_circle(10), gen_quasi_convex(8, (1, 4, 5)), gen_random(12, 48, seed=4),
-               PointSet.from_coords(PENTAGON_PLUS_CENTER)):
-        calls.clear()
-        classify(ps)
-        assert len(calls) <= len(ps.hull)
-        assert len({side for _, side in calls}) == len(calls)
-    # seen from each pentagon vertex the next-but-one vertex turns less than
-    # the center, so no candidate is interior and nothing needs confirming
-    assert calls == []
+
+def _others_left_of(ps, u, v, side):
+    """True when every point other than u, v and the side's endpoints is left of u -> v."""
+    pts = ps.points
+    return all(orient(pts[u], pts[v], pts[a]) == 1 for a in range(len(pts)) if a not in (u, v, *side))
+
+
+@pytest.mark.parametrize("coords, side, p, apex, expected", [
+    # 2 turns least from 0 over (0, 3) but not from 3, then is close to (3, 4)
+    ([(1, 21), (1, 25), (7, 15), (2, 5), (20, 29)], (0, 3), 2, 1,
+     QuasiConvexReport(True, {2: (3, 4)}, (0, 3, 2, 4, 1))),
+    # 2 turns least from 1 over (1, 5) but not from 5, and is close to no side
+    ([(7, 0), (1, 7), (4, 3), (5, 8), (8, 2), (1, 1)], (1, 5), 2, 3,
+     QuasiConvexReport(False, {}, None)),
+    # from 4 the interior point 0, not a hull vertex, turns less than 1
+    ([(4, 6), (6, 7), (6, 8), (1, 4), (8, 7)], (3, 4), 1, 0,
+     QuasiConvexReport(True, {0: (2, 3), 1: (4, 2)}, (3, 4, 1, 2, 0))),
+])
+def test_classify_rejects_a_candidate_the_scan_from_r_does_not_pick(coords, side, p, apex, expected):
+    ps = PointSet.from_coords(coords)
+    assert side in ps.hull_sides() and p in ps.interior
+    q, r = side
+    # the scan from q picks p, the scan from r does not
+    assert _others_left_of(ps, q, p, side)
+    assert not _others_left_of(ps, p, r, side)
+    assert find_blocking_apex(ps, p, side) == apex
+    assert _assert_matches_references(ps) == expected

@@ -186,8 +186,7 @@ grid_fractions = st.builds(Fraction, st.integers(0, 4), st.integers(1, 3))
 rational_grid_points = st.lists(st.builds(P, grid_fractions, grid_fractions), max_size=9)
 
 
-@given(st.one_of(grid_points, rational_grid_points))
-def test_violation_witnesses_match_pairwise_loop(pts):
+def _assert_witnesses_match_pairwise_loop(pts):
     expected = None
     for k in range(len(pts)):
         witness = _pairwise_added_violation(pts[:k], pts[k])
@@ -195,6 +194,48 @@ def test_violation_witnesses_match_pairwise_loop(pts):
         if expected is None and witness is not None:
             expected = (*witness, k)
     assert general_position_violation(integer_view(pts)) == expected
+
+
+@given(st.one_of(grid_points, rational_grid_points))
+def test_violation_witnesses_match_pairwise_loop(pts):
+    _assert_witnesses_match_pairwise_loop(pts)
+
+
+# a small grid (so vertical pairs, equal points and collinear triples are
+# common) stretched and moved by up to 2^64 per axis, mixed with points anywhere
+# in that range
+huge = st.integers(-2 ** 64, 2 ** 64)
+offset_grid_points = st.builds(
+    lambda ox, oy, sx, sy, cells, far: [P(ox + sx * a, oy + sy * b) for a, b in cells] + far,
+    huge, huge, st.integers(1, 2 ** 64), st.integers(1, 2 ** 64),
+    st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8),
+    st.lists(st.builds(P, huge, huge), max_size=2)).flatmap(st.permutations)
+
+
+@given(offset_grid_points)
+def test_violation_witnesses_match_pairwise_loop_far_from_the_origin(pts):
+    _assert_witnesses_match_pairwise_loop(pts)
+
+
+@pytest.mark.parametrize("d", [3, 10, 1000, 2 ** 64])
+def test_slope_key_separates_slopes_closer_than_one_over_the_extent(d):
+    # (d, 1) and (d - 1, 1) have slopes 1/d and 1/(d - 1) from the origin and
+    # -1/d and -1/(d - 1) from (0, 2), which differ by 1/(d(d - 1)): the keys
+    # need the scale d^2 from the x-extent d, since the scale d, or one from
+    # the y-extent 2, gives one of these pairs a single floor
+    xy = ((d, 1), (d - 1, 1), (0, 2), (0, 0))
+    assert added_xy_violation(xy[:3], xy[3]) is None
+    assert general_position_violation(xy) is None
+    assert PointSet.from_coords(xy).hull == (3, 0, 2)
+    assert general_position_violation((*xy, (2 * d, 2))) == (0, 3, 4)
+
+
+def test_vertical_neighbours_share_one_key():
+    assert general_position_violation(((0, 0), (0, 5), (0, -3))) == (0, 1, 2)
+    assert general_position_violation(((0, 0), (3, 1), (0, 5), (0, -3))) == (0, 2, 3)
+    assert general_position_violation(((0, 0), (0, 5), (1, 0), (1, -7))) is None
+    assert added_xy_violation(((4, 0), (4, 9)), (4, -2)) == (0, 1)
+    assert added_xy_violation(((4, 0), (4, 9), (4, -2)), (4, 9)) == (1,)
 
 
 def test_added_point_violation_exact_near_2_to_80():
