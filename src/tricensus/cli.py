@@ -64,7 +64,7 @@ def _build_parser() -> _Parser:
     v.add_argument("--chi", help="bit string to invert into a polyline")
     v.add_argument("--radial", action="store_true")
     v.add_argument("--center", type=int, help="center point index (radial mode)")
-    v.add_argument("--check-psi", action="store_true", dest="check_psi",
+    v.add_argument("--check-psi", action="store_true", default=None, dest="check_psi",
                    help="check polygon-to-vector injectivity")
 
     t = sub.add_parser("catalan", help="print a Catalan number and the matching polygon count")
@@ -167,8 +167,7 @@ def _index(value: int, n: int, flag: str) -> int:
 def _cmd_charvec(args) -> int:
     # a flag of the other mode would be ignored without a word: refuse it
     for flag in ("--apex", "--arms", "--chi") if args.radial else ("--center", "--check-psi"):
-        value = getattr(args, flag[2:].replace("-", "_"))
-        if value is not None and value is not False:  # --apex 0 is given, and 0 == False
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
             raise ValueError(f"{flag} is for angle mode and does not go with --radial"
                              if args.radial else f"{flag} needs --radial")
     ps = load_point_set(args.file)

@@ -160,11 +160,7 @@ def run_suite_checks(seed: int) -> dict[str, bool]:
     bijection/injectivity sweeps on seeded frames."""
     recurrence = all(polygon_count_recurrence_holds(n) for n in range(3, 31))
 
-    product = True
-    for sizes in size_lists(24):
-        if not check_product_inequality(sizes).holds:
-            product = False
-            break
+    product = all(check_product_inequality(sizes).holds for sizes in size_lists(24))
 
     bijection = all(
         charvec.frame_bijection_holds(generators.gen_angle_frame(k % 8, seed + k))
@@ -210,12 +206,6 @@ def run_corpus(cfg: RunConfig) -> CorpusReport:
         verdicts = list(map(verify_instance, point_sets, ids, caps))
 
     suite = run_suite_checks(cfg.seed) if cfg.full_suite else None
-    report = CorpusReport(config=_echo_config(cfg), verdicts=verdicts)
+    report = CorpusReport(config=asdict(cfg), verdicts=verdicts)
     report.finalize(suite)
     return report
-
-
-def _echo_config(cfg: RunConfig) -> dict:
-    d = asdict(cfg)
-    d["input_files"] = list(d["input_files"])
-    return d

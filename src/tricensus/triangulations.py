@@ -101,13 +101,6 @@ def _segments_cross(tab, a: int, b: int, c: int, d: int) -> bool:
     return tab[a][b][c] * tab[a][b][d] < 0 and tab[c][d][a] * tab[c][d][b] < 0
 
 
-def _mask(indices) -> int:
-    out = 0
-    for i in indices:
-        out |= 1 << i
-    return out
-
-
 class _RegionTables:
     """The integer tables the region recursion reads, built for one count or
     listing in one point order; nothing keeps them once it returns.
@@ -197,7 +190,7 @@ class _RegionTables:
         edges = 0
         for u, w in zip(cyc, cyc[1:] + cyc[:1]):
             edges |= edge_bit[u][w]
-        return cyc, _mask(rank[i] for i in inside), edges
+        return cyc, sum(1 << rank[i] for i in inside), edges
 
 
 def _canonical_order(ps: PointSet) -> list[int]:
@@ -295,10 +288,10 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
     the count is stored there under ``edges``.
 
     A sub-region that is a bare edge or an empty triangle counts 1 and is
-    never looked up, recursed into or stored as a state.
+    never looked up, recursed into or stored as a state.  A top-level empty
+    triangle counts 1 through its one split, whose two sides are bare, and
+    is stored as the count's one state.
     """
-    if len(boundary) == 3 and not inside:
-        return 1
     cyc = _anchor_rotation(boundary)
     a = cyc[0]
     k = len(cyc)

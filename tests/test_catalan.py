@@ -22,6 +22,8 @@ def test_catalan_10_against_convolution_oracle():
 def test_catalan_negative_rejected():
     with pytest.raises(ValueError):
         catalan(-1)
+    with pytest.raises(ValueError, match="catalan is defined for n >= 0"):
+        catalan_by_convolution(-1)
 
 
 def test_polygon_counts():
@@ -37,6 +39,8 @@ def test_recurrence_small_cases():
     assert polygon_count_recurrence_holds(3)
     assert polygon_count_recurrence_holds(4)
     assert polygon_count_recurrence_holds(6)
+    with pytest.raises(ValueError, match="the recurrence applies for n >= 3"):
+        polygon_count_recurrence_holds(2)
 
 
 def test_recurrence_sweep():
@@ -44,7 +48,7 @@ def test_recurrence_sweep():
 
 
 def test_convolution_agrees_with_closed_form():
-    for n in range(31):
+    for n in range(201):
         assert catalan(n) == catalan_by_convolution(n)
 
 

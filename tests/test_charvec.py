@@ -335,6 +335,9 @@ def test_projection_without_movers_returns_input():
     assert project_to_convex_position(ps, 0) is ps
     one = PointSet.from_coords([(0, 0), (9, 0), (5, 8), (4, 3)])
     assert project_to_convex_position(one, 3) is one
+    for pivot in (-1, 4):
+        with pytest.raises(ValueError, match=f"pivot {pivot} out of range"):
+            project_to_convex_position(one, pivot)
 
 
 def test_projection_from_hull_pivot_yields_convex_position():

@@ -34,6 +34,8 @@ def test_splitmix_is_deterministic():
     b = SplitMix64(42)
     assert [a.next_u64() for _ in range(5)] == [b.next_u64() for _ in range(5)]
     assert SplitMix64(42).next_u64() != SplitMix64(43).next_u64()
+    with pytest.raises(ValueError, match="below\\(\\) needs a positive bound"):
+        SplitMix64(0).below(0)
 
 
 def test_gen_convex_counts():
@@ -210,3 +212,7 @@ def test_scale_validation():
         gen_convex(5, scale=4)
     with pytest.raises(ValueError):
         gen_random(5, bbox=4)
+    with pytest.raises(ValueError, match="need at least 3 points, got 2"):
+        gen_convex(2)
+    with pytest.raises(ValueError, match="need at least 3 points"):
+        gen_random(2)

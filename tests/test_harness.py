@@ -607,14 +607,28 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     # usage errors exit 1
     assert main(["verify", "--n", "6"]) == 1
     assert main(["count", str(tmp_path / "missing.pts")]) == 1
+    two = tmp_path / "two.pts"
+    two.write_text("# tricensus points v1\n0 0\n1 0\n")
+    capsys.readouterr()
+    assert main(["classify", str(two)]) == 1
+    assert capsys.readouterr() == ("", "tricensus: error: a point set needs at least 3 points\n")
 
 
 def test_cli_verify_input_glob(tmp_path, capsys):
     for k, n in enumerate((5, 6)):
         save_point_set(tmp_path / f"c{k}.pts", gen_convex(n, 64, seed=k))
-    assert main(["verify", "--input", str(tmp_path / "*.pts")]) == 0
+    report = tmp_path / "out.jsonl"
+    assert main(["verify", "--input", str(tmp_path / "*.pts"), "--report", str(report)]) == 0
     out = capsys.readouterr().out
     assert "c0.pts" in out and "c1.pts" in out
+    # the config line lists the matched files in sorted order, as a JSON array
+    files = json.dumps([str(tmp_path / "c0.pts"), str(tmp_path / "c1.pts")])
+    assert report.read_text().split("\n")[-2] == (
+        '{"config": {"cap": 12, "family": null, "full_suite": false, '
+        f'"input_files": {files}, "jobs": 1, "n": 8, "scale": 64, "seed": 0, '
+        '"timings": false, "trials": 10}, "summary": {"checked": 2, '
+        '"equality_iff_failures": 0, "instances": 2, "lower_bound_failures": 0, '
+        '"skipped": 0, "suite": null}}')
 
 
 def test_cli_verify_that_checks_nothing_exits_1(tmp_path, capsys):

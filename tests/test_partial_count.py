@@ -301,6 +301,9 @@ def test_counts_and_states_are_pinned(monkeypatch):
     for (n, seed), want in pinned.items():
         assert _states(count_partial, gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
     assert _states(count_partial, gen_double_circle(6), monkeypatch) == (16796, 304)
+    # a bare triangle is one split with two bare sides: one state
+    bare = PointSet.from_coords([(0, 0), (6, 0), (0, 6)])
+    assert _states(count_partial, bare, monkeypatch) == (1, 1)
 
 
 def test_required_counts_and_states_are_pinned(monkeypatch):

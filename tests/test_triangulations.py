@@ -46,7 +46,13 @@ def test_count_full_convex_hexagon():
 
 
 def test_count_full_triangle_with_interior_point():
-    assert count_full(PointSet.from_coords(TRIANGLE_PLUS_ONE)) == 1
+    ps = PointSet.from_coords(TRIANGLE_PLUS_ONE)
+    assert count_full(ps) == 1
+    # the hull alone: a top-level empty triangle in required mode, with the
+    # unchosen interior point inside it
+    assert count_on_subset(ps, ps.hull) == 1
+    bare = PointSet.from_coords(TRIANGLE_PLUS_ONE[:3])
+    assert count_full(bare) == count_partial(bare) == 1
 
 
 def test_count_full_quad_with_interior_point():
@@ -137,6 +143,9 @@ def test_count_on_subset_requires_hull():
     ps = PointSet.from_coords(QUAD_PLUS_ONE)
     with pytest.raises(ValueError):
         count_on_subset(ps, [0, 1, 2, 4])
+    for count in (count_on_subset, brute_force_count):
+        with pytest.raises(ValueError, match="vertex subset contains unknown indices"):
+            count(ps, [0, 1, 2, 3, 5])
 
 
 def test_brute_force_on_explicit_subsets():
