@@ -52,6 +52,7 @@ from .geom import (
 )
 from .harness import CorpusReport, InstanceVerdict, RunConfig, run_corpus, verify_instance
 from .triangulations import (
+    Listing,
     Triangulation,
     brute_force_count,
     check_triangulation,

@@ -100,24 +100,12 @@ def _cmd_gen(args) -> int:
     return 0
 
 
-class _TriangleText(dict):
-    """Maps a triangle (a, b, c) to its listing text "a,b,c", formatted on first use."""
-
-    def __missing__(self, tri):
-        text = self[tri] = ",".join(map(str, tri))
-        return text
-
-
 def _cmd_count(args) -> int:
     ps = load_point_set(args.file)
     if args.enumerate_all:
-        tris = enumerate_full(ps) if args.mode == "full" else enumerate_partial(ps)
-        # a listing repeats at most C(n, 3) triangles: format each one once
-        text = _TriangleText()
-        write = sys.stdout.write
-        for t in tris:
-            write(" ".join(map(text.__getitem__, t.triangles)) + "\n")
-        print(len(tris), file=sys.stderr)
+        listing = enumerate_full(ps) if args.mode == "full" else enumerate_partial(ps)
+        sys.stdout.writelines(listing.lines())
+        print(len(listing), file=sys.stderr)
         return 0
     count = count_full(ps) if args.mode == "full" else count_partial(ps)
     print(count)

@@ -18,11 +18,18 @@ vertices by (x, y), so the anchors, the apex order and the memo, and with
 them the work of a count, depend on the points and not on how the input
 labels them.  The enumerators use the identity order, so ranks are input
 indices and listings come out in input index order.  In that order a
-triangle's ascending ranks are the index triple a listing prints, so the
-enumerators take every triangle from one table of shared tuples, built once
-per number of points: a listing and the sub-listings memoised on the way
-hold one tuple object per distinct triangle, not one per occurrence.  The
-counts never build that table.
+triangle's ascending ranks are the index triple a listing prints.  The
+region recursion lists each triangle as its lexicographic rank among the
+C(n, 3) ascending triples, an int, read from a table built once per number
+of points; sorting the ranks of a triangulation orders its triangles as
+sorting their triples would.  A listing holds these rank tuples and decodes
+them only when asked: into ``Triangulation`` records whose triangles are
+the shared triples of the table, one tuple object per distinct triangle, or
+into listing text.  The counts never build that table.
+
+The listing text has one line per triangulation: its triangles in ascending
+order, separated by single spaces, each written as its ascending index
+triple "a,b,c".
 
 The recursion has two modes:
 
@@ -202,14 +209,17 @@ def _canonical_order(ps: PointSet) -> list[int]:
 
 @functools.cache
 def _triangle_table(n: int) -> tuple:
-    """``table[a][b][c]``: the ascending tuple of the distinct ranks a, b, c < n,
-    one object for all six orderings, so that the listings built from it hold
-    each distinct triangle once.  Cells with a repeated rank are None."""
-    table = [[[None] * n for _ in range(n)] for _ in range(n)]
-    for tri in combinations(range(n), 3):
+    """``(rank, triangles)`` for n points.  ``triangles`` is every ascending
+    triple of distinct indices below n, in lexicographic order, and
+    ``rank[a][b][c]`` is the position in it of the triple of a, b and c, for
+    all six orderings; cells with a repeated index are None.  Ranks therefore
+    sort as their triples do."""
+    triangles = tuple(combinations(range(n), 3))
+    rank = [[[None] * n for _ in range(n)] for _ in range(n)]
+    for r, tri in enumerate(triangles):
         for a, b, c in permutations(tri):
-            table[a][b][c] = tri
-    return tuple(tuple(map(tuple, plane)) for plane in table)
+            rank[a][b][c] = r
+    return tuple(tuple(map(tuple, plane)) for plane in rank), triangles
 
 
 def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
@@ -318,12 +328,13 @@ def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ..
     """Every triangulation of a region that is not in ``memo`` yet, in required
     mode; the listing is stored there under ``edges``.
 
-    ``t`` is in the identity order, so ranks are the indices a listing prints,
-    and ``triangle`` is ``_triangle_table(n)``.  Each triangulation is a tuple
-    of triangles from ``triangle``, the anchor triangle first, then the first
-    sub-region's triangles, then the second's.  A bare-edge sub-region lists
-    as ``((),)``, one triangulation with no triangle, and is never looked up
-    or recursed into.
+    ``t`` is in the identity order, so point ranks are the indices a listing
+    prints, and ``triangle`` is the rank table of ``_triangle_table(n)``.  Each
+    triangulation is a tuple of triangle ranks read from it, the anchor
+    triangle first, then the first sub-region's triangles, then the second's,
+    so the memo holds tuples of ints.  A bare-edge sub-region lists as
+    ``((),)``, one triangulation with no triangle, and is never looked up or
+    recursed into.
     """
     if len(boundary) == 3 and not inside:
         return ((triangle[boundary[0]][boundary[1]][boundary[2]],),)
@@ -378,31 +389,64 @@ def count_partial(ps: PointSet) -> int:
     return _count_region(t, *t.region(ps.hull, ps.interior), False, {})
 
 
-def _listing(ps: PointSet, interior_sets) -> list[Triangulation]:
+class Listing:
+    """A listing of triangulations, held as tuples of triangle ranks and
+    decoded only when asked.
+
+    ``parts`` pairs each vertex subset with the region listing of its
+    triangulations, in listing order, and ``triangles`` is the triangle of
+    each rank.  ``len()`` is the number of triangulations.  Iterating yields
+    ``Triangulation`` records, triangles ascending; ``lines()`` yields the
+    listing text line by line, without building a record.  Each pass decodes
+    anew.
+    """
+
+    __slots__ = ("parts", "triangles")
+
+    def __init__(self, parts, triangles):
+        self.parts = parts
+        self.triangles = triangles
+
+    def __len__(self) -> int:
+        return sum(len(listing) for _, listing in self.parts)
+
+    def __iter__(self):
+        triangle = self.triangles.__getitem__
+        for sub, listing in self.parts:
+            for ranks in listing:
+                yield Triangulation(sub, tuple(map(triangle, sorted(ranks))))
+
+    def lines(self):
+        """Each triangulation's line of listing text, newline included."""
+        # a listing repeats at most C(14, 3) = 364 triangles: format each once
+        text = [",".join(map(str, tri)) for tri in self.triangles].__getitem__
+        join = " ".join
+        for _, listing in self.parts:
+            for ranks in listing:
+                yield join(map(text, sorted(ranks))) + "\n"
+
+
+def _listing(ps: PointSet, interior_sets) -> Listing:
     """Required-mode listings of the hull plus each set of interior points, in
     turn; refused before any table is built when ``ps`` exceeds the size cap."""
     n = len(ps.points)
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
-    # identity order: ranks are indices, so the listed triangles need no mapping
-    # back; one set of tables serves every interior set
+    # identity order: point ranks are indices, so the listed triangles need no
+    # mapping back; one set of tables serves every interior set
     t = _RegionTables(ps, range(n))
-    triangle = _triangle_table(n)
+    rank, triangles = _triangle_table(n)
     hull = frozenset(ps.hull)
-    out: list[Triangulation] = []
-    for extra in interior_sets:
-        sub = hull | extra
-        out += [Triangulation(sub, tuple(sorted(tris)))
-                for tris in _enumerate_region(t, triangle, *t.region(ps.hull, extra), {})]
-    return out
+    return Listing([(hull | extra, _enumerate_region(t, rank, *t.region(ps.hull, extra), {}))
+                    for extra in interior_sets], triangles)
 
 
-def enumerate_full(ps: PointSet) -> list[Triangulation]:
+def enumerate_full(ps: PointSet) -> Listing:
     """All full triangulations; refuses sets above the size cap."""
     return _listing(ps, [frozenset(ps.interior)])
 
 
-def enumerate_partial(ps: PointSet) -> list[Triangulation]:
+def enumerate_partial(ps: PointSet) -> Listing:
     """All partial triangulations: required-mode listings of the interior
     subsets, iterated in Gray-code order; refuses sets above the size cap."""
     interior = ps.interior

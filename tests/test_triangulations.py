@@ -5,7 +5,7 @@ import io
 import os
 import random
 import tempfile
-from itertools import combinations
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -403,6 +403,43 @@ def test_listings_share_one_ascending_tuple_per_triangle(n, seed, partial):
     assert all(all(s < u for s, u in zip(t.triangles, t.triangles[1:])) for t in tris)
     assert len({id(tri) for tri in listed}) == len(set(listed))
 
+
+@pytest.mark.parametrize("n", range(3, 15))
+def test_triangle_ranks_sort_as_their_triples(n):
+    """The listing's triangle table: ranks follow the lexicographic order of
+    the ascending triples, every ordering of a triple finds its rank, and a
+    repeated index finds none.  Past n = 12 the ranks pass 256, the end of
+    the interpreter's cache of small ints."""
+    rank, triangles = triangulations._triangle_table(n)
+    assert triangles == tuple(combinations(range(n), 3))
+    for r, tri in enumerate(triangles):
+        for a, b, c in permutations(tri):
+            assert rank[a][b][c] == r
+    for a in range(n):
+        for b in range(n):
+            for c in range(n):
+                if len({a, b, c}) < 3:
+                    assert rank[a][b][c] is None
+    rng = random.Random(n)
+    for _ in range(100):
+        ranks = rng.sample(range(len(triangles)), rng.randint(1, min(20, len(triangles))))
+        assert [triangles[r] for r in sorted(ranks)] == sorted(triangles[r] for r in ranks)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=3, max_value=10), seed=st.integers(min_value=0, max_value=10_000),
+       partial=st.booleans())
+def test_listing_is_sized_and_decodes_the_same_on_every_pass(n, seed, partial):
+    ps = gen_random(n, 32, seed=seed)
+    listing = enumerate_partial(ps) if partial else enumerate_full(ps)
+    records = list(listing)
+    assert list(listing) == records
+    lines = list(listing.lines())
+    assert list(listing.lines()) == lines
+    count = count_partial(ps) if partial else count_full(ps)
+    assert len(listing) == len(records) == len(lines) == count
+
+
 # SHA-256 of the stdout of `tricensus count <file> --mode <mode> --enumerate`
 # for `tricensus gen` outputs, with the count it prints on stderr.  The
 # enumerators list in input index order, so a change to the counting order or
@@ -414,6 +451,8 @@ PINNED_LISTINGS = [
      "c63e04590b322e5faf51fa2fd4ceec3e87484d966fd0d8aa979fbbc45b7c25cf"),
     (GenSpec("double_circle", 10), 1430,
      "b7ad7b3ca3d653542d53857b57a0e3d6304e7a554ad669d866ec4d0f20ab8131"),
+    (GenSpec("quasi_convex", 13, sides=(0, 2, 5)), 58786,
+     "8bb58a13b798538817a6fc3680704b8145c6003d7560b4814863f12fce6c2f8f"),
 ]
 PINNED_FULL_LISTINGS = [
     (GenSpec("random", 9, seed=3), 223,
@@ -422,6 +461,8 @@ PINNED_FULL_LISTINGS = [
      "c53a0f2e40a6d32993d51a1f0e016e99996520ddca8de48103d7e3f918a4f0a1"),
     (GenSpec("double_circle", 10), 250,
      "e6daaf5a3ed012588b17523a374219db8e975e5b537e4d9b0b7ee29561722586"),
+    (GenSpec("double_circle", 14), 20979,
+     "06e5e7b0630fadf925a24e4ef7db1012a53bc0253518cad28fa0b0af506d6a00"),
 ]
 
 
@@ -468,3 +509,7 @@ def test_cli_listing_matches_the_per_line_formatter(n, seed, mode):
     # differs, where a string comparison would diff the whole listing
     assert out.getvalue().splitlines(keepends=True) == _oracle_lines(tris)
     assert err.getvalue() == f"{len(tris)}\n"
+    # and read back, each line gives the triangles of its record
+    parsed = [tuple(tuple(map(int, tri.split(","))) for tri in line.split())
+              for line in tris.lines()]
+    assert parsed == [t.triangles for t in tris]
