@@ -57,7 +57,6 @@ from .triangulations import (
     brute_force_count,
     check_triangulation,
     count_full,
-    count_on_subset,
     count_partial,
     enumerate_full,
     enumerate_partial,

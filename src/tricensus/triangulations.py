@@ -34,8 +34,9 @@ triple "a,b,c".
 The recursion has two modes:
 
 - *required*: every inside point must be used, so the anchor triangle must
-  contain no point of the region.  ``count_full``, ``count_on_subset`` and
-  the enumerators use it, with the chosen subset's interior points inside.
+  contain no point of the region.  ``count_full`` and the enumerators use
+  it.  The triangulations of conv(M) that use exactly the vertex set S are
+  the full triangulations of the point set S.
 - *optional*: inside points may be skipped, so the anchor triangle must
   contain no boundary vertex, and the inside points it does contain are left
   unused.  ``count_partial`` is one optional-mode recursion with every
@@ -371,16 +372,10 @@ def _check_subset(ps: PointSet, vertex_subset) -> frozenset[int]:
     return sub
 
 
-def count_on_subset(ps: PointSet, vertex_subset) -> int:
-    """Number of triangulations of conv(M) using exactly the given vertices."""
-    sub = _check_subset(ps, vertex_subset)
-    t = _RegionTables(ps, _canonical_order(ps))
-    return _count_region(t, *t.region(ps.hull, sub.difference(ps.hull)), True, {})
-
-
 def count_full(ps: PointSet) -> int:
-    """Number of full triangulations (every point used as a vertex)."""
-    return count_on_subset(ps, range(len(ps.points)))
+    """Number of full triangulations: one required-mode region recursion."""
+    t = _RegionTables(ps, _canonical_order(ps))
+    return _count_region(t, *t.region(ps.hull, ps.interior), True, {})
 
 
 def count_partial(ps: PointSet) -> int:

@@ -140,11 +140,11 @@ def test_polygon_charvec_triangle_vertices_all_zero():
 
 def test_polygon_charvec_rejects_bad_polygon():
     frame = build_radial_frame(P(0, 0), [P(2, 1), P(-3, 2), P(1, -3), P(3, 3)])
-    with pytest.raises(ValueError):
-        polygon_charvec(frame, (0, 1))
-    bad = next((v for v in [(0, 1, 3)] if not is_good_polygon(frame, v)), None)
-    if bad is not None:
-        with pytest.raises(ValueError):
+    assert enumerate_good_polygons(frame) == [(0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]
+    # too few vertices, a polygon that misses the center, an index out of range
+    for bad in ((0, 1), (1, 2, 3), (0, 1, 4), (-1, 0, 1)):
+        assert not is_good_polygon(frame, bad)
+        with pytest.raises(ValueError, match="is not a good polygon for this frame"):
             polygon_charvec(frame, bad)
 
 

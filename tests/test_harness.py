@@ -11,7 +11,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import tricensus
-from tricensus import charvec, triangulations
+from tricensus import charvec, harness, triangulations
+from tricensus.catalan import polygon_triangulation_count
 from tricensus.cli import main
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
 from tricensus.geom import PointSet, save_point_set
@@ -612,6 +613,26 @@ def test_cli_verify_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["classify", str(two)]) == 1
     assert capsys.readouterr() == ("", "tricensus: error: a point set needs at least 3 points\n")
+
+
+@pytest.mark.parametrize("offset, failures", [(-1, "lower_bound_failures"),
+                                               (0, "equality_iff_failures")])
+def test_cli_verify_exits_2_when_a_clause_fails(offset, failures, tmp_path, capsys, monkeypatch):
+    """A count below the convex baseline fails the lower bound; a count at the
+    baseline on a set that is not quasi-convex fails the equality clause."""
+    target = tmp_path / "pent.pts"
+    save_point_set(target, PointSet.from_coords(PENTAGON_PLUS_CENTER))
+    inputs = (["--family", "random", "--n", "7", "--trials", "1", "--seed", "3"] if offset
+              else ["--input", str(target)])
+    monkeypatch.setattr(harness, "count_partial",
+                        lambda ps: polygon_triangulation_count(len(ps.points)) + offset)
+    report = tmp_path / "out.jsonl"
+    assert main(["verify", "--report", str(report), *inputs]) == 2
+    out = capsys.readouterr().out.strip().split("\n")
+    assert out[0].startswith("FAIL ")
+    summary = json.loads(out[-1])
+    assert summary["checked"] == summary[failures] == 1
+    assert json.loads(report.read_text().strip().split("\n")[-1])["summary"] == summary
 
 
 def test_cli_verify_input_glob(tmp_path, capsys):

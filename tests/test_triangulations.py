@@ -30,7 +30,6 @@ from tricensus.triangulations import (
     brute_force_count,
     check_triangulation,
     count_full,
-    count_on_subset,
     count_partial,
     enumerate_full,
     enumerate_partial,
@@ -48,9 +47,6 @@ def test_count_full_convex_hexagon():
 def test_count_full_triangle_with_interior_point():
     ps = PointSet.from_coords(TRIANGLE_PLUS_ONE)
     assert count_full(ps) == 1
-    # the hull alone: a top-level empty triangle in required mode, with the
-    # unchosen interior point inside it
-    assert count_on_subset(ps, ps.hull) == 1
     bare = PointSet.from_coords(TRIANGLE_PLUS_ONE[:3])
     assert count_full(bare) == count_partial(bare) == 1
 
@@ -139,13 +135,19 @@ def test_brute_force_cap():
         brute_force_count(ps)
 
 
-def test_count_on_subset_requires_hull():
+def _sub_point_set(ps, vertex_subset):
+    """The point set of the given vertices, relabelled 0.. in index order: its
+    full triangulations are the triangulations of conv(ps) that use exactly
+    those vertices."""
+    return PointSet.from_points([ps.points[i] for i in sorted(vertex_subset)])
+
+
+def test_brute_force_subset_requires_hull():
     ps = PointSet.from_coords(QUAD_PLUS_ONE)
-    with pytest.raises(ValueError):
-        count_on_subset(ps, [0, 1, 2, 4])
-    for count in (count_on_subset, brute_force_count):
-        with pytest.raises(ValueError, match="vertex subset contains unknown indices"):
-            count(ps, [0, 1, 2, 3, 5])
+    with pytest.raises(ValueError, match="vertex subset must contain every hull vertex"):
+        brute_force_count(ps, [0, 1, 2, 4])
+    with pytest.raises(ValueError, match="vertex subset contains unknown indices"):
+        brute_force_count(ps, [0, 1, 2, 3, 5])
 
 
 def test_brute_force_on_explicit_subsets():
@@ -154,7 +156,7 @@ def test_brute_force_on_explicit_subsets():
     for r in range(len(ps.interior) + 1):
         for sub in combinations(ps.interior, r):
             subset = hull | frozenset(sub)
-            assert brute_force_count(ps, subset) == count_on_subset(ps, subset)
+            assert brute_force_count(ps, subset) == count_full(_sub_point_set(ps, subset))
 
 
 def test_counts_match_brute_force_on_random_instances():
@@ -207,7 +209,7 @@ def test_enumerate_partial_matches_count_and_subset_sum():
         for r in range(len(ps.interior) + 1):
             for sub in combinations(ps.interior, r):
                 key = hull | frozenset(sub)
-                assert len(by_subset.get(key, [])) == count_on_subset(ps, key)
+                assert len(by_subset.get(key, [])) == count_full(_sub_point_set(ps, key))
 
 
 def test_triangulation_edges_derived():
@@ -344,7 +346,6 @@ def test_counts_and_listings_keep_nothing_on_the_point_set():
     for ps in (gen_random(9, 64, seed=5), gen_double_circle(4)):
         count_partial(ps)
         count_full(ps)
-        count_on_subset(ps, ps.hull)
         enumerate_full(ps)
         enumerate_partial(ps)
         assert ps._cache == {}
