@@ -39,23 +39,25 @@ def _side_or_raise(ps: PointSet, side) -> tuple[int, int]:
     raise ValueError(f"({q}, {r}) is not a hull side")
 
 
-def find_blocking_apex(ps: PointSet, p: int, side) -> int | None:
-    """First apex whose triangle over the side misses p, or None when p is close.
-
-    Apexes range over every point of the set except p and the side's own
-    endpoints; those would give degenerate or vacuous triangles.
-    """
-    if p not in ps.interior:
-        raise ValueError(f"point {p} is not interior")
-    q, r = _side_or_raise(ps, side)
-    xy = ps.xy
+def blocking_apex(xy, p: int, q: int, r: int) -> int | None:
+    """First index of the integer pairs ``xy`` whose triangle over the ccw hull
+    side q -> r misses p, or None when p is close to it.  p must lie left of
+    the side; p, q and r give degenerate or vacuous triangles and are skipped."""
     (px, py), (qx, qy), (rx, ry) = xy[p], xy[q], xy[r]
+    ux, uy, vx, vy = px - qx, py - qy, rx - px, ry - py
     for apex, (ax, ay) in enumerate(xy):
-        # p must be strictly left of r -> a and of a -> q
-        if apex not in (p, q, r) and ((ax - rx) * (py - ry) <= (ay - ry) * (px - rx)
-                                      or (qx - ax) * (py - ay) <= (qy - ay) * (px - ax)):
+        # a must be strictly left of q -> p and of p -> r
+        if ((ux * (ay - qy) <= uy * (ax - qx) or vx * (ay - py) <= vy * (ax - px))
+                and apex not in (p, q, r)):
             return apex
     return None
+
+
+def find_blocking_apex(ps: PointSet, p: int, side) -> int | None:
+    """:func:`blocking_apex` of ``ps.xy`` for interior p and a hull side in either order."""
+    if p not in ps.interior:
+        raise ValueError(f"point {p} is not interior")
+    return blocking_apex(ps.xy, p, *_side_or_raise(ps, side))
 
 
 def is_close(ps: PointSet, p: int, side) -> bool:

@@ -2,21 +2,21 @@
 interpolants and seeded random sets.
 
 Randomness comes from a self-contained splitmix-style 64-bit generator so
-that corpora are bit-identical across runs and platforms.  Floating point is
-used only to sketch candidate coordinates; every output is validated with
-the exact predicates (general position, convexity, closeness certificates)
-and construction retries until the checks pass.
+that corpora are bit-identical across runs and platforms.  Floating point
+only sketches candidate coordinates.  Each candidate is a list of integer
+pairs, checked with the exact predicates (convexity, general position,
+closeness certificates); a construction redraws, shrinks or rescales until
+one passes, and only that one becomes a point set.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .closeness import is_close
+from .closeness import blocking_apex
 from .errors import ConstructionError
-from .geom import Point, PointSet, added_xy_violation, general_position_violation, integer_view, turn
+from .geom import Point, PointSet, added_xy_violation, general_position_violation, turn
 from .charvec import AngleFrame, RadialFrame, build_angle_frame, build_radial_frame
 
 _MASK64 = (1 << 64) - 1
@@ -101,33 +101,31 @@ def _check_sizes(n: int, scale: int) -> None:
         raise ValueError("scale must be at least 8")
 
 
-def _convex_ring(n: int, radius: int, rng: SplitMix64) -> list[Point]:
-    pts = []
-    for k in range(n):
-        jitter = rng.below(1 << 20) / (1 << 20)
-        theta = 2.0 * math.pi * (k + 0.1 + 0.8 * jitter) / n
-        pts.append(Point(round(radius * math.cos(theta)), round(radius * math.sin(theta))))
-    return pts
-
-
 def _is_strictly_convex_ring(xy) -> bool:
     n = len(xy)
     return all(turn(xy[m - 1], xy[m], xy[(m + 1) % n]) == 1 for m in range(n))
 
 
-def gen_convex(n: int, scale: int = 64, seed: int = 0) -> PointSet:
-    """n integer points in strictly convex counter-clockwise position."""
+def _convex_ring(n: int, scale: int, seed: int) -> list[tuple[int, int]]:
     _check_sizes(n, scale)
     rng = SplitMix64(seed)
     radius = max(scale, n)
     for attempt in range(96):
-        pts = _convex_ring(n, radius, rng)
-        xy = integer_view(pts)
+        xy = []
+        for k in range(n):
+            jitter = rng.below(1 << 20) / (1 << 20)
+            theta = 2.0 * math.pi * (k + 0.1 + 0.8 * jitter) / n
+            xy.append((round(radius * math.cos(theta)), round(radius * math.sin(theta))))
         if _is_strictly_convex_ring(xy) and general_position_violation(xy) is None:
-            return PointSet.from_points(pts)
+            return xy
         if attempt % 8 == 7:
             radius *= 2
     raise ConstructionError(f"no strictly convex {n}-gon found at scale {scale}")
+
+
+def gen_convex(n: int, scale: int = 64, seed: int = 0) -> PointSet:
+    """n integer points in strictly convex counter-clockwise position."""
+    return PointSet.from_coords(_convex_ring(n, scale, seed))
 
 
 def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
@@ -136,28 +134,30 @@ def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
 
     Points start near the side midpoints, offset inward; the offset shrinks,
     and then the ring's scale doubles, until every closeness certificate
-    holds.  Each candidate set is replaced by its integer view before the final
-    certification, so the points are integers.
+    holds.  Each candidate is certified on its integer view, so the points
+    are integers, and only the accepted one becomes a point set.
     """
     for doubling in range(8):
-        ring = list(gen_convex(m, scale << doubling, _FAMILY_SEED).points)
+        ring = _convex_ring(m, scale << doubling, _FAMILY_SEED)
         for shrink in range(48):
-            lam = Fraction(1, 16 * (1 << shrink))
-            pts = list(ring)
+            # Numerators over 2 * half of the side midpoints moved by (r - q) / half along
+            # the left normal; over their gcd g with 2 * half they are the integer view.
+            half = 16 << shrink
+            num = []
             for j in sides:
-                q = ring[j]
-                r = ring[(j + 1) % m]
-                # midpoint pulled inward along the left (interior) normal
-                pts.append(Point((q.x + r.x) / 2 - lam * (r.y - q.y),
-                                 (q.y + r.y) / 2 + lam * (r.x - q.x)))
-            pts = [Point(x, y) for x, y in integer_view(pts)]
+                (qx, qy), (rx, ry) = ring[j], ring[(j + 1) % m]
+                num.append(((qx + rx) * half - 2 * (ry - qy), (qy + ry) * half + 2 * (rx - qx)))
+            g = math.gcd(2 * half, *(c for pair in num for c in pair))
+            k = 2 * half // g
+            xy = [(x * k, y * k) for x, y in ring] + [(x // g, y // g) for x, y in num]
+            if any(blocking_apex(xy, m + pos, j, (j + 1) % m) is not None
+                   for pos, j in enumerate(sides)):
+                continue
             try:
-                ps = PointSet.from_points(pts)
-            except ValueError:
+                ps = PointSet.from_coords(xy)
+            except ValueError:  # not in general position
                 continue
-            if set(ps.hull) != set(range(m)):
-                continue
-            if all(is_close(ps, m + pos, (j, (j + 1) % m)) for pos, j in enumerate(sides)):
+            if set(ps.hull) == set(range(m)):
                 return ps
     raise ConstructionError(
         f"no close points on sides {tuple(sides)} of a {m}-gon at scale {scale}")
@@ -198,7 +198,7 @@ def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
         if misses > 200:
             bbox *= 2
             misses = 0
-    return PointSet.from_points([Point(x, y) for x, y in xy])
+    return PointSet.from_coords(xy)
 
 
 def gen_angle_frame(n: int, seed: int = 0) -> AngleFrame:

@@ -6,6 +6,7 @@ from itertools import combinations, count, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from tricensus import charvec
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.charvec import (
     all_polylines,
@@ -146,6 +147,30 @@ def test_polygon_charvec_rejects_bad_polygon():
         assert not is_good_polygon(frame, bad)
         with pytest.raises(ValueError, match="is not a good polygon for this frame"):
             polygon_charvec(frame, bad)
+
+
+def _merging(real, frame, source, target):
+    """``real`` with ``source``'s vector reported as ``target``'s."""
+    merged, kept = real(frame, source), real(frame, target)
+    return lambda f, shape: kept if real(f, shape) == merged else real(f, shape)
+
+
+@pytest.mark.parametrize("source, target", [((0,), ()), ((), (0,))], ids=["seen", "round-trip"])
+def test_bijection_check_reports_merged_vectors(monkeypatch, source, target):
+    # (0,) reported as () repeats a vector; () reported as (0,) decodes to (0,)
+    frame = gen_angle_frame(3, seed=1)
+    monkeypatch.setattr(charvec, "polyline_charvec",
+                        _merging(polyline_charvec, frame, source, target))
+    assert not frame_bijection_holds(frame)
+
+
+def test_injectivity_check_reports_the_colliding_pair(monkeypatch):
+    frame = gen_radial_frame(5, seed=2)
+    polygons = enumerate_good_polygons(frame)
+    first, second = polygons[0], polygons[1]
+    monkeypatch.setattr(charvec, "polygon_charvec",
+                        _merging(polygon_charvec, frame, second, first))
+    assert find_charvec_collision(frame, polygons) == (first, second)
 
 
 def test_psi_injectivity_on_seeded_frames():

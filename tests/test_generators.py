@@ -1,10 +1,13 @@
 import hashlib
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from tricensus import generators
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.closeness import classify, is_close
+from tricensus.errors import ConstructionError
 from tricensus.generators import (
     FAMILIES,
     GenSpec,
@@ -103,7 +106,10 @@ def test_gen_quasi_convex_refuses_repeated_sides():
 
 
 # sha256 of format_points for the ring families, as first generated; every
-# corpus and perfbench/golden.json depends on these points staying the same
+# corpus and perfbench/golden.json depends on these points staying the same.
+# Double circles 19 to 38 and the 40-gon take the retry branches: their first
+# candidates fail general position or closeness.
+QC40_SIDES = (0, 1, 2, 3, 4, 7, 9, 11, 12, 14, 15, 18, 19, 25, 26, 27, 28, 34, 36, 39)
 RING_DIGESTS = {
     (3, None): "40e7cb41d3ff4428d0d89206acf2ee60e57957f19fa4c7cb21e4a04251e9e3a1",
     (4, None): "6f6eaa49d69b131e65a62b140003ca972beedbea3b923357f5626f401f2deb6d",
@@ -111,8 +117,12 @@ RING_DIGESTS = {
     (6, None): "602c780d6f475cf73f3e144e3b62208fc744e853be465119a5fb6c84db0dba3f",
     (7, None): "82852d48920c09cb4891e8532829dcf7726a2a8feb6d26f14b6267265f7cc240",
     (8, None): "773146ff2715f922c9aa89558ac8eb33548ba1bd5038ced758022fb0ee95de3c",
+    (19, None): "061fac3661a365f9a1e7201031b996898732caa392277665d64508c23f713b19",
+    (30, None): "dbd9ea8e35c32ada41c58eee29e77bbad12ab75d9a54789f1a25172915cb7319",
+    (38, None): "bdb4ffafa52147ab376cedbf9a8e1b55bdda8ee381485e879019531b557bc743",
     (7, (0, 2, 5)): "f495b070393700a0ab545e167748925f5af51a6e31e7a9dca2a65dedec0e4678",
     (6, ()): "5f8301875832183a00f555bd1e92d516b01bbbcbac7c814b165f948dfee62d4f",
+    (40, QC40_SIDES): "4d0b69751331a055f863bf803e81332b6592922e60bb5e823c73bc6a4e3ee2b4",
 }
 
 
@@ -121,6 +131,58 @@ def test_ring_family_points_are_pinned(hull, sides):
     ps = gen_double_circle(hull) if sides is None else gen_quasi_convex(hull, sides)
     digest = hashlib.sha256(format_points(ps.points).encode()).hexdigest()
     assert digest == RING_DIGESTS[hull, sides]
+    for pos, j in enumerate(range(hull) if sides is None else sides):
+        assert is_close(ps, hull + pos, (j, (j + 1) % hull))
+    assert classify(ps).is_quasi_convex
+
+
+def test_gen_convex_grid_is_pinned():
+    # gen_convex(24, 8, 0) and others redraw rings and double the radius
+    digest = hashlib.sha256()
+    for n in range(3, 80):
+        for seed in (0, 1, 7):
+            for scale in (8, 64):
+                digest.update(format_points(gen_convex(n, scale, seed).points).encode())
+    assert digest.hexdigest() == "5a01d3850eef9dafe4121172b39d3900d6e8fa600c211560483e1f9efb74e093"
+
+
+def test_gen_convex_reports_a_failed_search(monkeypatch):
+    monkeypatch.setattr(generators, "_is_strictly_convex_ring", lambda xy: False)
+    with pytest.raises(ConstructionError) as exc:
+        gen_convex(5, 8, seed=0)
+    assert str(exc.value) == "no strictly convex 5-gon found at scale 8"
+
+
+def test_ring_families_report_a_failed_search(monkeypatch):
+    monkeypatch.setattr(generators, "blocking_apex", lambda xy, p, q, r: 0)
+    with pytest.raises(ConstructionError) as exc:
+        gen_double_circle(3, 16)
+    assert str(exc.value) == "no close points on sides (0, 1, 2) of a 3-gon at scale 16"
+    with pytest.raises(ConstructionError) as exc:
+        gen_quasi_convex(5, [3, 1])
+    assert str(exc.value) == "no close points on sides (1, 3) of a 5-gon at scale 64"
+
+
+def _ring_candidate(m, sides, shrink, scale=64):
+    """Integer view of a ring family's candidate, built from Fraction points:
+    each side midpoint moved inward by 1 / (16 * 2**shrink) of the side."""
+    ring = gen_convex(m, scale, generators._FAMILY_SEED).points
+    lam = Fraction(1, 16 << shrink)
+    pts = list(ring)
+    for j in sides:
+        q, r = ring[j], ring[(j + 1) % m]
+        pts.append(Point((q.x + r.x) / 2 - lam * (r.y - q.y), (q.y + r.y) / 2 + lam * (r.x - q.x)))
+    return integer_view(pts)
+
+
+def test_ring_search_skips_a_candidate_out_of_general_position(monkeypatch):
+    # the 19-gon's certificates first all hold at the fourth offset
+    assert gen_double_circle(19).xy == _ring_candidate(19, range(19), 3)
+    # with every certificate passing, its first candidate breaks general
+    # position and the search takes the next, smaller offset
+    assert general_position_violation(_ring_candidate(19, range(19), 0)) is not None
+    monkeypatch.setattr(generators, "blocking_apex", lambda xy, p, q, r: None)
+    assert gen_double_circle(19).xy == _ring_candidate(19, range(19), 1)
 
 
 def test_gen_random_general_position_and_seeding():

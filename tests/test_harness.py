@@ -223,6 +223,23 @@ def test_suite_checks_pass():
     }
 
 
+def test_suite_checks_report_a_broken_bijection(monkeypatch):
+    real = charvec.polyline_charvec
+
+    def first_bit_cleared(frame, polyline):
+        # merges every two vectors that differ only in the first bit
+        vec = real(frame, polyline)
+        return vec and (0, *vec[1:])
+
+    monkeypatch.setattr(charvec, "polyline_charvec", first_bit_cleared)
+    assert run_suite_checks(seed=0) == {
+        "recurrence_n_le_30": True,
+        "product_inequality_sum_le_24": True,
+        "charvec_bijection": False,
+        "polygon_charvec_injective": True,
+    }
+
+
 def test_size_lists_enumeration():
     small = [tuple(s) for s in size_lists(6)]
     assert (2,) in small and (2, 2, 2) in small and (6,) in small and (3, 3) in small
