@@ -363,8 +363,9 @@ def ray_move_preserves_image(frame: RadialFrame, i: int, t) -> bool:
 # Outward projection to convex position
 # ---------------------------------------------------------------------------
 
-def _ray_exit(ps: PointSet, origin: Point, through: Point):
-    """Where the ray origin -> through leaves the hull, and the profile there.
+def _ray_exit(pts, sides, origin: Point, through: Point):
+    """Where the ray origin -> through leaves the hull of ``pts``, whose
+    counter-clockwise edges are ``sides``, and the profile there.
 
     Returns (u, h): the ray leaves at origin + u*(through - origin), at
     fraction t along hull edge e, and ray parameter u + h lies t*(1 - t)/|e|
@@ -372,9 +373,9 @@ def _ray_exit(ps: PointSet, origin: Point, through: Point):
     """
     dx = through.x - origin.x
     dy = through.y - origin.y
-    for qi, ri in ps.hull_sides():
-        q = ps.points[qi]
-        r = ps.points[ri]
+    for qi, ri in sides:
+        q = pts[qi]
+        r = pts[ri]
         ex = r.x - q.x
         ey = r.y - q.y
         den = dx * ey - dy * ex
@@ -401,23 +402,24 @@ def project_to_convex_position(ps: PointSet, pivot: int) -> PointSet:
     succeed eventually.  Point order is preserved, so indices keep their
     meaning.
     """
-    if not 0 <= pivot < len(ps.points):
+    if not 0 <= pivot < len(ps.xy):
         raise ValueError(f"pivot {pivot} out of range")
     movers = [i for i in ps.interior if i != pivot]
     if not movers:
         return ps
-    origin = ps.points[pivot]
-    exits = {i: _ray_exit(ps, origin, ps.points[i]) for i in movers}
+    pts = ps.points
+    origin = pts[pivot]
+    exits = {i: _ray_exit(pts, ps.hull_sides(), origin, pts[i]) for i in movers}
     hull_set = set(ps.hull)
     expected_hull = hull_set | set(movers)
     expected_interior = {pivot} - hull_set
 
     for rnd in range(PROJECTION_ROUNDS):
         scale = Fraction(1, 1 << rnd)
-        new_pts = list(ps.points)
+        new_pts = list(pts)
         for i, (u, height) in exits.items():
             s = u + scale * height
-            p = ps.points[i]
+            p = pts[i]
             new_pts[i] = Point(origin.x + s * (p.x - origin.x), origin.y + s * (p.y - origin.y))
         try:
             out = PointSet.from_points(new_pts)

@@ -96,7 +96,7 @@ def _cmd_gen(args) -> int:
     spec = GenSpec(args.family, args.n, args.scale, args.seed, sides)
     ps = generate(spec)
     save_point_set(args.output, ps)
-    print(f"wrote {len(ps.points)} points to {args.output}")
+    print(f"wrote {len(ps.xy)} points to {args.output}")
     return 0
 
 

@@ -125,7 +125,7 @@ def _convex_ring(n: int, scale: int, seed: int) -> list[tuple[int, int]]:
 
 def gen_convex(n: int, scale: int = 64, seed: int = 0) -> PointSet:
     """n integer points in strictly convex counter-clockwise position."""
-    return PointSet.from_coords(_convex_ring(n, scale, seed))
+    return PointSet.from_points(_convex_ring(n, scale, seed))
 
 
 def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
@@ -154,7 +154,7 @@ def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
                    for pos, j in enumerate(sides)):
                 continue
             try:
-                ps = PointSet.from_coords(xy)
+                ps = PointSet.from_points(xy)
             except ValueError:  # not in general position
                 continue
             if set(ps.hull) == set(range(m)):
@@ -198,7 +198,7 @@ def gen_random(n: int, bbox: int = 256, seed: int = 0) -> PointSet:
         if misses > 200:
             bbox *= 2
             misses = 0
-    return PointSet.from_coords(xy)
+    return PointSet.from_points(xy)
 
 
 def gen_angle_frame(n: int, seed: int = 0) -> AngleFrame:

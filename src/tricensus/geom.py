@@ -1,17 +1,20 @@
-"""Exact planar primitives over rational coordinates.
+"""Exact planar primitives on the integer view of rational points.
 
-Coordinates are `fractions.Fraction` values (always stored canonically, with
-positive denominator), and there are no epsilons, no tolerances and no
-floating point anywhere.  Every sign is decided on one exact integer view of
-the points, :func:`integer_view`: every coordinate times the lcm of all
-denominators.  A positive scale keeps every orientation sign, equality and
-the (x, y) order, so a cross product of integer pairs decides what the same
-product of the rationals decides; integer inputs stay as they are.  The
-predicates take that view: :func:`turn`, :func:`convex_hull`,
-:func:`added_xy_violation` and :func:`general_position_violation` read
-integer pairs, and each collection builds its view once, where its points
-enter.  A :class:`PointSet` carries its view as ``xy`` (O(n) memory), and
-:meth:`PointSet.orient_table`, closeness and counting read it.
+A point set is stored once, as its integer view, :func:`integer_view`:
+every coordinate times ``scale``, the lcm of all reduced denominators.
+Coordinates are ints, and `fractions.Fraction` values only where a file
+holds a ``p/q`` token or a caller passes one; there are no epsilons, no
+tolerances and no floating point anywhere.  A positive scale keeps every
+orientation sign, equality and the (x, y) order, so a cross product of
+integer pairs decides what the same product of the rationals decides;
+integer inputs stay as they are, with scale 1.  The predicates take that
+view: :func:`turn`, :func:`convex_hull`, :func:`added_xy_violation` and
+:func:`general_position_violation` read integer pairs, and each collection
+builds its view once, where its points enter.  A :class:`PointSet` stores
+its view as ``xy`` with its ``scale`` (O(n) memory), and
+:meth:`PointSet.orient_table`, closeness and counting read it; its
+rational points (:class:`Point`) are rebuilt from them only where
+``points`` is read.
 
 Point sets are validated to be in general position (pairwise distinct, no
 three collinear) when built through :meth:`PointSet.from_points`; every
@@ -43,10 +46,10 @@ from pathlib import Path
 
 POINTS_HEADER = "# tricensus points v1"
 
-def _coord(value) -> Fraction:
-    """A non-Fraction coordinate as a Fraction; only ints qualify."""
-    if isinstance(value, int):
-        return Fraction(value)
+def _checked(value):
+    """``value``, if it is a coordinate: an int or a Fraction."""
+    if isinstance(value, (int, Fraction)):
+        return value
     raise TypeError(f"coordinate must be int or Fraction, got {type(value).__name__}")
 
 
@@ -59,9 +62,9 @@ class Point:
 
     def __post_init__(self):
         if not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", _coord(self.x))
+            object.__setattr__(self, "x", Fraction(_checked(self.x)))
         if not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", _coord(self.y))
+            object.__setattr__(self, "y", Fraction(_checked(self.y)))
 
     def __iter__(self):
         yield self.x
@@ -71,17 +74,24 @@ class Point:
         return f"Point({self.x}, {self.y})"
 
 
+def _view(points) -> tuple[tuple[tuple[int, int], ...], int]:
+    """:func:`integer_view` of ``points`` and its scale."""
+    pairs = [(x, y) for x, y in points]
+    scale = lcm(*{_checked(c).denominator for pair in pairs for c in pair})
+    if scale == 1:
+        return tuple((x.numerator, y.numerator) for x, y in pairs), 1
+    return tuple((x.numerator * (scale // x.denominator),
+                  y.numerator * (scale // y.denominator)) for x, y in pairs), scale
+
+
 def integer_view(points) -> tuple[tuple[int, int], ...]:
-    """The points as integer pairs: every coordinate times the lcm of all denominators.
+    """(x, y) pairs of ints or Fractions, such as Points, as integer pairs:
+    every coordinate times the lcm of all reduced denominators.
 
     The scale is positive, so orientation signs, equality and the (x, y)
     order of the points are those of the rationals.
     """
-    scale = lcm(*{c.denominator for p in points for c in (p.x, p.y)})
-    if scale == 1:
-        return tuple((p.x.numerator, p.y.numerator) for p in points)
-    return tuple((p.x.numerator * (scale // p.x.denominator),
-                  p.y.numerator * (scale // p.y.denominator)) for p in points)
+    return _view(points)[0]
 
 
 def turn(a: tuple[int, int], b: tuple[int, int], c: tuple[int, int]) -> int:
@@ -192,38 +202,41 @@ def general_position_violation(xy) -> tuple[int, ...] | None:
 class PointSet:
     """A labeled point set in general position with its hull/interior split.
 
-    ``hull`` traces the convex hull counter-clockwise; ``interior`` holds the
-    remaining indices in increasing order; ``xy`` is the points'
-    :func:`integer_view`.  Build through :meth:`from_points`, which builds
-    the view once, validates general position and takes the hull on it; the
-    raw constructor takes ``xy`` as given and trusts its caller.  ``_cache``
-    holds only the oracles' orientation table, built by :meth:`orient_table`;
-    counts and listings build their own tables and keep none here.
+    ``xy`` is the points' :func:`integer_view` and ``scale`` the lcm of
+    their reduced denominators; ``hull`` traces the convex hull
+    counter-clockwise and ``interior`` holds the remaining indices in
+    increasing order.  Build through :meth:`from_points`, which builds the
+    view once, validates general position and takes the hull on it; the raw
+    constructor takes ``xy`` as given and trusts its caller.  ``points``
+    rebuilds the rational points on each read.  ``_cache`` holds only the
+    oracles' orientation table, built by :meth:`orient_table`; counts and
+    listings build their own tables and keep none here.
     """
 
-    points: tuple[Point, ...]
+    xy: tuple[tuple[int, int], ...]
     hull: tuple[int, ...]
     interior: tuple[int, ...]
-    xy: tuple[tuple[int, int], ...] = field(compare=False, repr=False)
+    scale: int = 1
     _cache: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     @classmethod
     def from_points(cls, points) -> "PointSet":
-        pts = tuple(points)
-        if len(pts) < 3:
+        """The point set of (x, y) pairs of ints or Fractions, such as Points."""
+        xy, scale = _view(points)
+        if len(xy) < 3:
             raise ValueError("a point set needs at least 3 points")
-        xy = integer_view(pts)
         witness = general_position_violation(xy)
         if witness is not None:
             kind = "duplicate points" if len(witness) == 2 else "collinear points"
             raise ValueError(f"not in general position: {kind} at indices {witness}")
         hull = tuple(convex_hull(xy))
-        interior = tuple(sorted(set(range(len(pts))) - set(hull)))
-        return cls(pts, hull, interior, xy)
+        interior = tuple(sorted(set(range(len(xy))) - set(hull)))
+        return cls(xy, hull, interior, scale)
 
-    @classmethod
-    def from_coords(cls, coords) -> "PointSet":
-        return cls.from_points([Point(x, y) for x, y in coords])
+    @property
+    def points(self) -> tuple[Point, ...]:
+        """The rational points, ``xy`` over ``scale``."""
+        return tuple(Point(Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in self.xy)
 
     def hull_sides(self) -> tuple[tuple[int, int], ...]:
         """Hull edges as counter-clockwise index pairs."""
@@ -262,20 +275,19 @@ class PointSet:
 _COORD = re.compile(r"([-+]?[0-9]+)(?:/(0*[1-9][0-9]*))?")
 
 
-def _parse_coord(token: str) -> Fraction:
+def _parse_coord(token: str) -> int | Fraction:
     match = _COORD.fullmatch(token)
     if not match:
         raise ValueError(f"bad coordinate {token!r}: expected an integer or p/q with q > 0")
     p, q = match.groups()
-    return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
+    return int(p) if q is None else Fraction(int(p), int(q))
 
 
-def parse_points_text(text: str) -> list[Point]:
-    """Parse the v1 point format; the header line is mandatory."""
+def _parse_pairs(text: str):
+    """Yield the (x, y) coordinate pairs of the v1 point format; the header line is mandatory."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != POINTS_HEADER:
         raise ValueError(f"missing header line {POINTS_HEADER!r}")
-    points: list[Point] = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -283,22 +295,23 @@ def parse_points_text(text: str) -> list[Point]:
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'x y', got {raw!r}")
-        points.append(Point(_parse_coord(fields[0]), _parse_coord(fields[1])))
-    return points
+        yield _parse_coord(fields[0]), _parse_coord(fields[1])
+
+
+def parse_points_text(text: str) -> list[Point]:
+    """Parse the v1 point format; the header line is mandatory."""
+    return [Point(x, y) for x, y in _parse_pairs(text)]
 
 
 def format_points(points) -> str:
-    def fmt(c: Fraction) -> str:
-        return str(c.numerator) if c.denominator == 1 else f"{c.numerator}/{c.denominator}"
-
-    lines = [POINTS_HEADER]
-    lines.extend(f"{fmt(p.x)} {fmt(p.y)}" for p in points)
-    return "\n".join(lines) + "\n"
+    """The v1 text of (x, y) pairs of ints or Fractions, such as Points."""
+    return "\n".join([POINTS_HEADER, *(f"{x!s} {y!s}" for x, y in points)]) + "\n"
 
 
 def load_point_set(path) -> PointSet:
-    return PointSet.from_points(parse_points_text(Path(path).read_text()))
+    return PointSet.from_points(_parse_pairs(Path(path).read_text()))
 
 
 def save_point_set(path, ps: PointSet) -> None:
-    Path(path).write_text(format_points(ps.points))
+    """Write ``ps`` in the v1 format; a set of scale 1 is written from ``xy``."""
+    Path(path).write_text(format_points(ps.xy if ps.scale == 1 else ps.points))

@@ -67,7 +67,7 @@ class InstanceVerdict:
 def verify_instance(ps: PointSet, instance_id: str = "", cap: int = DEFAULT_CAP) -> InstanceVerdict:
     """Count, classify and check both clauses of the extremal statement; an
     instance with more than ``cap`` points is skipped before anything is built."""
-    n = len(ps.points)
+    n = len(ps.xy)
     h = len(ps.hull)
     if n > cap:
         return InstanceVerdict(instance_id, n, h, None, None, None, None, None, 0,

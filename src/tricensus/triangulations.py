@@ -365,7 +365,7 @@ def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ..
 
 def _check_subset(ps: PointSet, vertex_subset) -> frozenset[int]:
     sub = frozenset(vertex_subset)
-    if not sub <= set(range(len(ps.points))):
+    if not sub <= set(range(len(ps.xy))):
         raise ValueError("vertex subset contains unknown indices")
     if not set(ps.hull) <= sub:
         raise ValueError("vertex subset must contain every hull vertex")
@@ -424,7 +424,7 @@ class Listing:
 def _listing(ps: PointSet, interior_sets) -> Listing:
     """Required-mode listings of the hull plus each set of interior points, in
     turn; refused before any table is built when ``ps`` exceeds the size cap."""
-    n = len(ps.points)
+    n = len(ps.xy)
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
     # identity order: point ranks are indices, so the listed triangles need no
@@ -458,7 +458,7 @@ def brute_force_count(ps: PointSet, vertex_subset=None) -> int:
     accepted leaf is asserted to have exactly 3i + 2h - 3 edges.
     """
     if vertex_subset is None:
-        vertex_subset = range(len(ps.points))
+        vertex_subset = range(len(ps.xy))
     sub = _check_subset(ps, vertex_subset)
     if len(sub) > BRUTE_FORCE_CAP:
         raise SizeCapError(f"brute force refused for {len(sub)} vertices (cap {BRUTE_FORCE_CAP})")

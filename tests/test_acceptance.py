@@ -121,7 +121,7 @@ def test_criterion_05_equality_class():
         assert classify(ps).is_quasi_convex, name
 
     strict = 0
-    ps = PointSet.from_coords(PENTAGON_PLUS_CENTER)
+    ps = PointSet.from_points(PENTAGON_PLUS_CENTER)
     assert not classify(ps).is_quasi_convex
     assert count_partial(ps) > polygon_triangulation_count(6)
     strict += 1

@@ -6,7 +6,7 @@ from itertools import combinations, count, permutations
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from tricensus import charvec
+from tricensus import charvec, geom
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.charvec import (
     all_polylines,
@@ -24,7 +24,7 @@ from tricensus.charvec import (
     ray_move_preserves_image,
 )
 from tricensus.closeness import classify
-from tricensus.errors import SizeCapError
+from tricensus.errors import ConstructionError, SizeCapError
 from tricensus.generators import gen_angle_frame, gen_radial_frame, gen_random
 from tricensus.geom import Point, PointSet, convex_hull, integer_view
 from tricensus.triangulations import count_partial
@@ -356,9 +356,9 @@ def test_radial_frames_on_rational_grids_match_fraction_oracles(center, points):
 # -- outward projection -----------------------------------------------------
 
 def test_projection_without_movers_returns_input():
-    ps = PointSet.from_coords([(0, 0), (8, 1), (4, 7)])
+    ps = PointSet.from_points([(0, 0), (8, 1), (4, 7)])
     assert project_to_convex_position(ps, 0) is ps
-    one = PointSet.from_coords([(0, 0), (9, 0), (5, 8), (4, 3)])
+    one = PointSet.from_points([(0, 0), (9, 0), (5, 8), (4, 3)])
     assert project_to_convex_position(one, 3) is one
     for pivot in (-1, 4):
         with pytest.raises(ValueError, match=f"pivot {pivot} out of range"):
@@ -366,7 +366,7 @@ def test_projection_without_movers_returns_input():
 
 
 def test_projection_from_hull_pivot_yields_convex_position():
-    ps = PointSet.from_coords(
+    ps = PointSet.from_points(
         [(0, -10), (10, -3), (6, 9), (-6, 9), (-10, -3), (1, 2), (-2, -4)])
     assert len(ps.interior) == 2
     out = project_to_convex_position(ps, ps.hull[0])
@@ -376,6 +376,33 @@ def test_projection_from_hull_pivot_yields_convex_position():
     # hull points kept verbatim
     for h in ps.hull:
         assert out.points[h] == ps.points[h]
+
+
+def test_projection_retries_a_refused_placement_and_then_gives_up(monkeypatch):
+    ps = PointSet.from_points(
+        [(0, -10), (10, -3), (6, 9), (-6, 9), (-10, -3), (1, 2), (-2, -4)])
+    pivot = ps.hull[0]
+    first = project_to_convex_position(ps, pivot)
+    real = geom.general_position_violation
+    checked = []
+
+    def refuse_first(xy):
+        checked.append(xy)
+        return (0, 1) if len(checked) == 1 else real(xy)
+
+    monkeypatch.setattr(geom, "general_position_violation", refuse_first)
+    out = project_to_convex_position(ps, pivot)
+    # the refused first round checked the placement an unhindered run returns;
+    # the second round places the same points, and only those, elsewhere
+    assert checked == [first.xy, out.xy]
+    assert out.interior == () and set(out.hull) == set(range(7))
+    for i in range(7):
+        assert (out.points[i] == first.points[i]) == (i not in ps.interior)
+    monkeypatch.setattr(geom, "general_position_violation", lambda xy: checked.append(xy) or (0, 1))
+    with pytest.raises(ConstructionError) as exc:
+        project_to_convex_position(ps, pivot)
+    assert str(exc.value) == f"no valid outward placement found for pivot {pivot} within 64 rounds"
+    assert len(checked) == 2 + charvec.PROJECTION_ROUNDS
 
 
 def test_projection_keeps_interior_pivot_and_non_closeness():

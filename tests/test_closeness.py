@@ -23,13 +23,13 @@ PENTAGON_PLUS_CENTER = [(0, -10), (10, -3), (6, 9), (-6, 9), (-10, -3), (0, 0)]
 
 
 def test_triangle_interior_point_is_close_to_every_side():
-    ps = PointSet.from_coords([(0, 0), (6, 0), (0, 6), (2, 2)])
+    ps = PointSet.from_points([(0, 0), (6, 0), (0, 6), (2, 2)])
     for side in ps.hull_sides():
         assert is_close(ps, 3, side)
 
 
 def test_square_point_close_to_bottom_not_top():
-    ps = PointSet.from_coords(SQUARE_PLUS_LOW)
+    ps = PointSet.from_points(SQUARE_PLUS_LOW)
     assert is_close(ps, 4, (0, 1))
     assert not is_close(ps, 4, (2, 3))
     assert find_blocking_apex(ps, 4, (2, 3)) == 0
@@ -38,7 +38,7 @@ def test_square_point_close_to_bottom_not_top():
 
 
 def test_is_close_validates_arguments():
-    ps = PointSet.from_coords(SQUARE_PLUS_LOW)
+    ps = PointSet.from_points(SQUARE_PLUS_LOW)
     with pytest.raises(ValueError):
         is_close(ps, 0, (0, 1))  # not interior
     with pytest.raises(ValueError):
@@ -68,7 +68,7 @@ def test_classify_double_circle():
 
 
 def test_classify_pentagon_with_center_is_not_quasi_convex():
-    ps = PointSet.from_coords(PENTAGON_PLUS_CENTER)
+    ps = PointSet.from_points(PENTAGON_PLUS_CENTER)
     rep = classify(ps)
     assert not rep.is_quasi_convex
     assert rep.polygon_order is None
@@ -114,14 +114,14 @@ def test_at_most_one_close_point_per_side():
 
 
 def test_close_via_neighbor_triangles_examples():
-    assert close_via_neighbor_triangles(PointSet.from_coords(SQUARE_PLUS_LOW), 4)
-    assert not close_via_neighbor_triangles(PointSet.from_coords(PENTAGON_PLUS_CENTER), 5)
+    assert close_via_neighbor_triangles(PointSet.from_points(SQUARE_PLUS_LOW), 4)
+    assert not close_via_neighbor_triangles(PointSet.from_points(PENTAGON_PLUS_CENTER), 5)
     assert close_via_neighbor_triangles(
-        PointSet.from_coords([(0, 0), (9, 1), (2, 7), (3, 2)]), 3)
+        PointSet.from_points([(0, 0), (9, 1), (2, 7), (3, 2)]), 3)
 
 
 def test_close_via_neighbor_triangles_requires_single_interior():
-    ps = PointSet.from_coords([(0, 0), (12, 0), (12, 12), (0, 12), (5, 2), (6, 10)])
+    ps = PointSet.from_points([(0, 0), (12, 0), (12, 12), (0, 12), (5, 2), (6, 10)])
     with pytest.raises(ValueError):
         close_via_neighbor_triangles(ps, 4)
 
@@ -270,7 +270,7 @@ def test_classify_matches_references_on_double_circles():
 
 
 def test_triangle_point_takes_its_first_close_side():
-    ps = PointSet.from_coords([(0, 0), (6, 0), (0, 6), (2, 2)])
+    ps = PointSet.from_points([(0, 0), (6, 0), (0, 6), (2, 2)])
     report = _assert_matches_references(ps)
     assert report.assignment == {3: ps.hull_sides()[0]}
     assert report.polygon_order == (0, 3, 1, 2)
@@ -281,7 +281,7 @@ def test_classify_calls_no_blocking_apex_scan(monkeypatch):
         raise AssertionError(f"classify called find_blocking_apex({p}, {side})")
 
     sets = (gen_double_circle(10), gen_quasi_convex(8, (1, 4, 5)), gen_random(12, 48, seed=4),
-            PointSet.from_coords(PENTAGON_PLUS_CENTER))
+            PointSet.from_points(PENTAGON_PLUS_CENTER))
     with monkeypatch.context() as patch:
         patch.setattr(closeness, "find_blocking_apex", refuse)
         reports = [classify(ps) for ps in sets]
@@ -307,7 +307,7 @@ def _others_left_of(ps, u, v, side):
      QuasiConvexReport(True, {0: (2, 3), 1: (4, 2)}, (3, 4, 1, 2, 0))),
 ])
 def test_classify_rejects_a_candidate_the_scan_from_r_does_not_pick(coords, side, p, apex, expected):
-    ps = PointSet.from_coords(coords)
+    ps = PointSet.from_points(coords)
     assert side in ps.hull_sides() and p in ps.interior
     q, r = side
     # the scan from q picks p, the scan from r does not

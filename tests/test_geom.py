@@ -4,8 +4,10 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from tricensus import charvec, geom
+from tricensus import charvec, closeness, generators, geom, harness, triangulations
+from tricensus.closeness import classify
 from tricensus.geom import (
+    POINTS_HEADER,
     Point,
     PointSet,
     added_xy_violation,
@@ -13,9 +15,13 @@ from tricensus.geom import (
     format_points,
     general_position_violation,
     integer_view,
+    load_point_set,
     parse_points_text,
+    save_point_set,
 )
-from tricensus.generators import gen_double_circle, gen_random
+from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
+from tricensus.harness import verify_instance
+from tricensus.triangulations import count_partial
 
 from oracles import BOUNDARY, INSIDE, OUTSIDE, orient, point_in_triangle, segments_properly_cross
 
@@ -91,16 +97,16 @@ def test_general_position_witnesses():
 
 
 def test_point_set_construction():
-    ps = PointSet.from_coords([(0, 0), (4, 0), (4, 4), (0, 4), (2, 1)])
+    ps = PointSet.from_points([(0, 0), (4, 0), (4, 4), (0, 4), (2, 1)])
     assert ps.hull == (0, 1, 2, 3)
     assert ps.interior == (4,)
     assert ps.hull_sides() == ((0, 1), (1, 2), (2, 3), (3, 0))
     with pytest.raises(ValueError):
-        PointSet.from_coords([(0, 0), (1, 1), (2, 2), (5, 0)])
+        PointSet.from_points([(0, 0), (1, 1), (2, 2), (5, 0)])
 
 
 def test_orient_table_matches_direct():
-    ps = PointSet.from_coords([(0, 0), (7, 1), (5, 6), (2, 8), (3, 3)])
+    ps = PointSet.from_points([(0, 0), (7, 1), (5, 6), (2, 8), (3, 3)])
     tab = ps.orient_table()
     for i in range(5):
         for j in range(5):
@@ -226,7 +232,7 @@ def test_slope_key_separates_slopes_closer_than_one_over_the_extent(d):
     xy = ((d, 1), (d - 1, 1), (0, 2), (0, 0))
     assert added_xy_violation(xy[:3], xy[3]) is None
     assert general_position_violation(xy) is None
-    assert PointSet.from_coords(xy).hull == (3, 0, 2)
+    assert PointSet.from_points(xy).hull == (3, 0, 2)
     assert general_position_violation((*xy, (2 * d, 2))) == (0, 3, 4)
 
 
@@ -348,7 +354,7 @@ any_grid_points = st.one_of(grid_points, rational_grid_points, wide_grid_points,
 def test_integer_view_scales_by_the_lcm_of_the_denominators():
     assert integer_view([P(3, -4), P(0, 7)]) == ((3, -4), (0, 7))
     assert integer_view([P(Fraction(1, 2), Fraction(1, 3)), P(2, Fraction(-5, 6))]) == ((3, 2), (12, -5))
-    ps = PointSet.from_coords([(0, 0), (Fraction(7, 2), 0), (0, Fraction(5, 3))])
+    ps = PointSet.from_points([(0, 0), (Fraction(7, 2), 0), (0, Fraction(5, 3))])
     assert ps.xy == ((0, 0), (21, 0), (0, 10)) and not ps._cache
 
 
@@ -366,7 +372,7 @@ def test_convex_hull_matches_point_orient_chain(pts):
 @given(any_grid_points)
 def test_orient_table_matches_point_built_table(pts):
     # the raw constructor, so that equal points and collinear triples reach the table
-    ps = PointSet(tuple(pts), (), (), integer_view(pts))
+    ps = PointSet(integer_view(pts), (), ())
     assert ps.orient_table() == _orient_table_from_points(pts)
 
 
@@ -415,6 +421,28 @@ def test_format_round_trip():
     assert parse_points_text(format_points(pts)) == pts
 
 
+def test_load_point_set_reads_rational_files(tmp_path):
+    unreduced = "".join(f"{2 * x}/14 {2 * y}/14\n" for x, y in gen_double_circle(5).xy)
+    bodies = ("-0 +0\n004 0/3\n1/2 9/20\n-6/4 012/05\n+3 -2/7\n",
+              "0/6 -0/1\n+12/6 1/3\n-4/8 +10/4\n7/1 -000/9\n007/0010 6/3\n",
+              unreduced)
+    scales = []
+    for body in bodies:
+        text = f"{POINTS_HEADER}\n{body}"
+        path = tmp_path / "set.pts"
+        path.write_text(text)
+        ps = load_point_set(path)
+        ref = PointSet.from_points(parse_points_text(text))
+        assert ps.points == ref.points and ps.xy == ref.xy and ps.scale == ref.scale
+        assert ps.hull == ref.hull and ps.interior == ref.interior
+        save_point_set(tmp_path / "saved.pts", ps)
+        assert (tmp_path / "saved.pts").read_text() == format_points(ref.points)
+        scales.append(ps.scale)
+    assert scales == [140, 30, 7]
+    # 2x/14 is x/7, so the integer view is that of the integer set
+    assert load_point_set(path).xy == gen_double_circle(5).xy
+
+
 def test_in_convex_position():
     assert len(convex_hull(integer_view([P(0, 0), P(4, -1), P(6, 2), P(3, 5), P(-1, 3)]))) == 5
     assert len(convex_hull(integer_view([P(0, 0), P(4, 0), P(4, 4), P(0, 4), P(2, 2)]))) == 4
@@ -428,29 +456,29 @@ def test_point_coordinates_are_int_or_fraction_only():
             P(x, y)
 
 
-def _count_views(monkeypatch, *modules):
-    """Count the calls to integer_view made through each module's global."""
+def _count_views(monkeypatch):
+    """Count the integer views built, whichever module asks for one."""
     calls = []
+    view = geom._view
 
     def spy(points):
         calls.append(len(points))
-        return integer_view(points)
+        return view(points)
 
-    for module in modules:
-        monkeypatch.setattr(module, "integer_view", spy)
+    monkeypatch.setattr(geom, "_view", spy)
     return calls
 
 
 def test_from_points_builds_one_integer_view(monkeypatch):
     pts = gen_random(12, 64, seed=3).points
-    calls = _count_views(monkeypatch, geom)
+    calls = _count_views(monkeypatch)
     ps = PointSet.from_points(pts)
     assert calls == [12]
     assert ps.xy == integer_view(pts)
 
 
 def test_build_radial_frame_builds_one_integer_view(monkeypatch):
-    calls = _count_views(monkeypatch, geom, charvec)
+    calls = _count_views(monkeypatch)
     center, *pts = (P(x, y) for x, y in ((0, 0), (5, 1), (-2, 7), (-6, -3), (3, -8)))
     frame = charvec.build_radial_frame(center, pts)
     assert charvec.enumerate_good_polygons(frame) == [(0, 2, 3), (1, 2, 3), (0, 1, 2, 3)]
@@ -459,8 +487,52 @@ def test_build_radial_frame_builds_one_integer_view(monkeypatch):
 
 
 def test_build_angle_frame_builds_one_integer_view(monkeypatch):
-    calls = _count_views(monkeypatch, geom, charvec)
+    calls = _count_views(monkeypatch)
     apex, left, right, *pts = (P(x, y) for x, y in ((0, 9), (-9, 0), (9, 0), (2, 3), (-3, 2), (0, 5)))
     frame = charvec.build_angle_frame(apex, left, right, pts)
     assert charvec.polyline_charvec(frame, (0, 2)) == (1, 0, 1)
     assert calls == [6]
+
+
+def _count_builds(monkeypatch):
+    """Count the Fractions and Points built through the package's names for them.
+
+    Each name becomes a stand-in type that counts its calls and passes
+    isinstance checks as the real type does.
+    """
+    built = []
+
+    def counted(real):
+        class Meta(type):
+            def __call__(cls, *args):
+                built.append(real.__name__)
+                return real(*args)
+
+            def __instancecheck__(cls, obj):
+                return isinstance(obj, real)
+
+        return Meta(real.__name__, (), {})
+
+    for module in (geom, generators, charvec, closeness, triangulations, harness):
+        for real in (Fraction, Point):
+            if getattr(module, real.__name__, None) is real:
+                monkeypatch.setattr(module, real.__name__, counted(real))
+    return built
+
+
+def test_integer_paths_build_no_fraction_or_point(monkeypatch, tmp_path):
+    path = tmp_path / "random.pts"
+    path.write_text(format_points(gen_random(12, 64, seed=3).points))
+    built = _count_builds(monkeypatch)
+    sets = [load_point_set(path), gen_random(12, 64, seed=4), gen_double_circle(6),
+            gen_quasi_convex(9, (0, 2, 5))]
+    for k, ps in enumerate(sets):
+        count_partial(ps)
+        classify(ps)
+        verify_instance(ps)
+        save_point_set(tmp_path / f"{k}.pts", ps)
+    assert built == []
+    assert (tmp_path / "0.pts").read_text() == path.read_text()
+    # the stand-ins do count: reading the points builds them
+    assert len(sets[0].points) == 12
+    assert built.count("Point") == 12 and built.count("Fraction") == 24

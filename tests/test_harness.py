@@ -36,7 +36,7 @@ def test_verify_instance_convex_heptagon():
 
 
 def test_verify_instance_pentagon_with_center():
-    v = verify_instance(PointSet.from_coords(PENTAGON_PLUS_CENTER), "pent+center")
+    v = verify_instance(PointSet.from_points(PENTAGON_PLUS_CENTER), "pent+center")
     assert int(v.partial_count) > 14
     assert not v.quasi_convex
     assert v.lower_bound_ok and v.equality_iff_ok
@@ -271,7 +271,7 @@ def test_cli_gen_count_classify(tmp_path, capsys):
 
 def test_cli_count_enumerate(tmp_path, capsys):
     target = tmp_path / "quad.pts"
-    save_point_set(target, PointSet.from_coords([(0, 0), (5, 1), (6, 5), (1, 6)]))
+    save_point_set(target, PointSet.from_points([(0, 0), (5, 1), (6, 5), (1, 6)]))
     assert main(["count", str(target), "--enumerate"]) == 0
     out = capsys.readouterr().out.strip().split("\n")
     assert len(out) == 2
@@ -315,7 +315,7 @@ def test_cli_listing_piped_into_head_exits_1_quietly(tmp_path):
 
 def test_cli_charvec_polyline(tmp_path, capsys):
     target = tmp_path / "frame.pts"
-    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    save_point_set(target, PointSet.from_points([(0, 4), (-4, 0), (4, 0), (0, 1)]))
     assert main(["charvec", str(target), "--apex", "0", "--arms", "1,2", "--chi", "1"]) == 0
     assert capsys.readouterr().out.strip() == "1 3 2"
     assert main(["charvec", str(target), "--apex", "0", "--arms", "1,2", "--chi", "0"]) == 0
@@ -324,7 +324,7 @@ def test_cli_charvec_polyline(tmp_path, capsys):
 
 def test_cli_charvec_radial(tmp_path, capsys):
     target = tmp_path / "radial.pts"
-    save_point_set(target, PointSet.from_coords([(0, 0), (2, 1), (-3, 2), (1, -3)]))
+    save_point_set(target, PointSet.from_points([(0, 0), (2, 1), (-3, 2), (1, -3)]))
     assert main(["charvec", str(target), "--radial", "--center", "0", "--check-psi"]) == 0
     assert "injective" in capsys.readouterr().out
 
@@ -333,10 +333,10 @@ def test_cli_charvec_radial_prints_file_indices(tmp_path, capsys, monkeypatch):
     # the frame sorts the points ccw from the reference direction (0, -1): file
     # points 4, 1, 2, 3 are frame positions 0, 1, 2, 3
     target = tmp_path / "radial.pts"
-    save_point_set(target, PointSet.from_coords([(0, 0), (5, 1), (-1, 6), (-6, -1), (3, -5)]))
+    save_point_set(target, PointSet.from_points([(0, 0), (5, 1), (-1, 6), (-6, -1), (3, -5)]))
     assert main(["charvec", str(target), "--radial", "--center", "0"]) == 0
     assert capsys.readouterr().out == "4 1 3\n4 2 3\n4 1 2 3\n"
-    save_point_set(target, PointSet.from_coords([(5, 1), (-1, 6), (0, 0), (-6, -1), (3, -5)]))
+    save_point_set(target, PointSet.from_points([(5, 1), (-1, 6), (0, 0), (-6, -1), (3, -5)]))
     assert main(["charvec", str(target), "--radial", "--center", "2"]) == 0
     assert capsys.readouterr().out == "4 0 3\n4 1 3\n4 0 1 3\n"
     # no frame has a collision, so a made-up one (in frame positions) checks the mapping
@@ -406,7 +406,7 @@ def _main_in_process(argv) -> int:
 def test_cli_main_calls_in_one_process_match_separate_runs(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")  # usage lines wrap at the terminal width
     target = tmp_path / "pentagon.pts"
-    save_point_set(target, PointSet.from_coords(PENTAGON_PLUS_CENTER))
+    save_point_set(target, PointSet.from_points(PENTAGON_PLUS_CENTER))
     calls = (["count"], ["classify", str(target), "--json"],
              ["count", str(target), "--mode", "partial"], ["classify", "--bogus", str(target)])
     in_process = []
@@ -427,7 +427,7 @@ def test_cli_main_calls_in_one_process_match_separate_runs(tmp_path, capsys, mon
 
 def test_cli_charvec_angle_mode_rejects_radial_flags(tmp_path, capsys):
     target = tmp_path / "frame.pts"
-    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    save_point_set(target, PointSet.from_points([(0, 4), (-4, 0), (4, 0), (0, 1)]))
     angle = ["charvec", str(target), "--apex", "0", "--arms", "1,2", "--chi", "1"]
     for extra, flag in ((["--check-psi", "--center", "3"], "--center"),
                         (["--center", "0"], "--center"),
@@ -438,7 +438,7 @@ def test_cli_charvec_angle_mode_rejects_radial_flags(tmp_path, capsys):
 
 def test_cli_charvec_radial_mode_rejects_angle_flags(tmp_path, capsys):
     target = tmp_path / "radial.pts"
-    save_point_set(target, PointSet.from_coords([(0, 0), (2, 1), (-3, 2), (1, -3)]))
+    save_point_set(target, PointSet.from_points([(0, 0), (2, 1), (-3, 2), (1, -3)]))
     for extra, flag in ((["--chi", "1"], "--chi"),
                         (["--apex", "1"], "--apex"),
                         (["--apex", "0"], "--apex"),
@@ -451,7 +451,7 @@ def test_cli_charvec_radial_mode_rejects_angle_flags(tmp_path, capsys):
 
 def test_cli_charvec_rejects_repeated_apex_or_arms(tmp_path, capsys):
     target = tmp_path / "frame.pts"
-    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    save_point_set(target, PointSet.from_points([(0, 4), (-4, 0), (4, 0), (0, 1)]))
     for arms, repeated in (("1,1", 1), ("0,2", 0), ("2,0", 0), ("0,0", 0)):
         assert main(["charvec", str(target), "--apex", "0", "--arms", arms, "--chi", "1"]) == 1
         captured = capsys.readouterr()
@@ -462,7 +462,7 @@ def test_cli_charvec_rejects_repeated_apex_or_arms(tmp_path, capsys):
 
 def test_cli_charvec_rejects_indices_out_of_range(tmp_path, capsys):
     target = tmp_path / "frame.pts"
-    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    save_point_set(target, PointSet.from_points([(0, 4), (-4, 0), (4, 0), (0, 1)]))
     for flag, extra in (("--center", ["--radial", "--center", "99"]),
                         ("--center", ["--radial", "--center", "-1"]),
                         ("--apex", ["--apex", "99", "--arms", "1,2", "--chi", "1"]),
@@ -477,7 +477,7 @@ def test_cli_charvec_rejects_indices_out_of_range(tmp_path, capsys):
 
 def test_cli_charvec_rejects_malformed_arms(tmp_path, capsys):
     target = tmp_path / "frame.pts"
-    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    save_point_set(target, PointSet.from_points([(0, 4), (-4, 0), (4, 0), (0, 1)]))
     for arms, problem in (("1,2,3", "expected two point indices"),
                           ("1", "expected two point indices"),
                           ("a,b", "expected comma-separated integers")):
@@ -489,7 +489,7 @@ def test_cli_charvec_rejects_malformed_arms(tmp_path, capsys):
 
 def test_cli_charvec_rejects_malformed_chi(tmp_path, capsys):
     target = tmp_path / "frame.pts"
-    save_point_set(target, PointSet.from_coords([(0, 4), (-4, 0), (4, 0), (0, 1)]))
+    save_point_set(target, PointSet.from_points([(0, 4), (-4, 0), (4, 0), (0, 1)]))
     for chi, problem in (("x", "expected a 0/1 string"),
                          ("012", "expected a 0/1 string"),
                          ("01", "expected a 0/1 string of length 1"),
@@ -638,7 +638,7 @@ def test_cli_verify_exits_2_when_a_clause_fails(offset, failures, tmp_path, caps
     """A count below the convex baseline fails the lower bound; a count at the
     baseline on a set that is not quasi-convex fails the equality clause."""
     target = tmp_path / "pent.pts"
-    save_point_set(target, PointSet.from_coords(PENTAGON_PLUS_CENTER))
+    save_point_set(target, PointSet.from_points(PENTAGON_PLUS_CENTER))
     inputs = (["--family", "random", "--n", "7", "--trials", "1", "--seed", "3"] if offset
               else ["--input", str(target)])
     monkeypatch.setattr(harness, "count_partial",

@@ -145,29 +145,32 @@ def test_equality_clause_on_larger_quasi_convex_sets():
     sets = [gen_double_circle(m) for m in range(9, 13)]
     sets += [gen_quasi_convex(n_hull, sides) for n_hull, sides in (
         (16, (5,)), (15, (0, 4, 9)), (13, (0, 2, 4, 6, 8, 10)), (16, (0, 3, 7, 11)),
-        (17, (1, 5, 9, 13)), (12, (0, 1, 2, 3, 5, 6, 7, 8, 9, 10)))]
+        (17, (1, 5, 9, 13)), (12, (0, 1, 2, 3, 5, 6, 7, 8, 9, 10)),
+        (20, range(0, 20, 2)))]
     for ps in sets:
-        n = len(ps.points)
+        n = len(ps.xy)
         assert count_partial(ps) == polygon_triangulation_count(n), n
         assert classify(ps).is_quasi_convex, n
 
 
 def _with_point_near_centroid(ps):
-    n = len(ps.points)
-    cx, cy = sum(p.x for p in ps.points) / n, sum(p.y for p in ps.points) / n
+    pts = ps.points
+    cx, cy = sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts)
     for k in count():
         try:
-            return PointSet.from_points([*ps.points, Point(cx + Fraction(k, 101), cy + Fraction(k, 103))])
+            return PointSet.from_points([*pts, Point(cx + Fraction(k, 101), cy + Fraction(k, 103))])
         except ValueError:  # not in general position: step further off the centroid
             continue
 
 
 def test_a_point_near_the_centroid_lifts_quasi_convex_sets_above_the_bound():
-    for ps in (gen_quasi_convex(16, (0, 3, 7, 11)), gen_double_circle(10)):
+    for ps in (gen_quasi_convex(16, (0, 3, 7, 11)), gen_double_circle(10), gen_double_circle(12),
+               gen_quasi_convex(18, range(0, 18, 2))):
         lifted = _with_point_near_centroid(ps)
-        assert len(lifted.points) == 21
-        assert count_partial(lifted) > polygon_triangulation_count(21)
-        assert not classify(lifted).is_quasi_convex
+        n = len(lifted.xy)
+        assert n == len(ps.xy) + 1
+        assert count_partial(lifted) > polygon_triangulation_count(n), n
+        assert not classify(lifted).is_quasi_convex, n
 
 
 def test_lower_bound_on_larger_random_sets():
@@ -302,7 +305,7 @@ def test_counts_and_states_are_pinned(monkeypatch):
         assert _states(count_partial, gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
     assert _states(count_partial, gen_double_circle(6), monkeypatch) == (16796, 304)
     # a bare triangle is one split with two bare sides: one state
-    bare = PointSet.from_coords([(0, 0), (6, 0), (0, 6)])
+    bare = PointSet.from_points([(0, 0), (6, 0), (0, 6)])
     assert _states(count_partial, bare, monkeypatch) == (1, 1)
 
 

@@ -41,13 +41,13 @@ QUAD_PLUS_ONE = [(0, 0), (10, 0), (10, 10), (0, 10), (3, 4)]
 
 
 def test_count_full_convex_hexagon():
-    assert count_full(PointSet.from_coords(HEXAGON)) == 14
+    assert count_full(PointSet.from_points(HEXAGON)) == 14
 
 
 def test_count_full_triangle_with_interior_point():
-    ps = PointSet.from_coords(TRIANGLE_PLUS_ONE)
+    ps = PointSet.from_points(TRIANGLE_PLUS_ONE)
     assert count_full(ps) == 1
-    bare = PointSet.from_coords(TRIANGLE_PLUS_ONE[:3])
+    bare = PointSet.from_points(TRIANGLE_PLUS_ONE[:3])
     assert count_full(bare) == count_partial(bare) == 1
 
 
@@ -55,29 +55,29 @@ def test_count_full_quad_with_interior_point():
     # frozen from the brute-force oracle; see also the closeness tests: any
     # quadrilateral plus one interior point is quasi-convex, so the partial
     # count is exactly the convex baseline for 5 points
-    ps = PointSet.from_coords(QUAD_PLUS_ONE)
+    ps = PointSet.from_points(QUAD_PLUS_ONE)
     assert brute_force_count(ps) == 3
     assert count_full(ps) == 3
     assert count_partial(ps) == 5 == polygon_triangulation_count(5)
 
 
 def test_count_partial_examples():
-    assert count_partial(PointSet.from_coords(HEXAGON)) == 14
-    assert count_partial(PointSet.from_coords(TRIANGLE_PLUS_ONE)) == 2
+    assert count_partial(PointSet.from_points(HEXAGON)) == 14
+    assert count_partial(PointSet.from_points(TRIANGLE_PLUS_ONE)) == 2
     assert count_partial(gen_double_circle(3)) == 14
 
 
 def test_enumerate_full_examples():
-    quad = PointSet.from_coords([(0, 0), (5, 1), (6, 5), (1, 6)])
+    quad = PointSet.from_points([(0, 0), (5, 1), (6, 5), (1, 6)])
     tris = enumerate_full(quad)
     assert len(tris) == 2
     assert {t.triangles for t in tris} == {
         ((0, 1, 2), (0, 2, 3)),
         ((0, 1, 3), (1, 2, 3)),
     }
-    tri = PointSet.from_coords([(0, 0), (5, 0), (0, 5)])
+    tri = PointSet.from_points([(0, 0), (5, 0), (0, 5)])
     assert [t.triangles for t in enumerate_full(tri)] == [((0, 1, 2),)]
-    pent = PointSet.from_coords([(0, 0), (6, 0), (8, 5), (3, 9), (-2, 5)])
+    pent = PointSet.from_points([(0, 0), (6, 0), (8, 5), (3, 9), (-2, 5)])
     assert len(enumerate_full(pent)) == 5 == count_full(pent)
 
 
@@ -125,7 +125,7 @@ def test_cli_count_has_no_cap_option(tmp_path, capsys):
 
 def test_brute_force_examples():
     assert brute_force_count(gen_convex(5, 64, seed=3)) == 5
-    assert brute_force_count(PointSet.from_coords(TRIANGLE_PLUS_ONE)) == 1
+    assert brute_force_count(PointSet.from_points(TRIANGLE_PLUS_ONE)) == 1
     assert brute_force_count(gen_convex(7, 64, seed=3)) == 42
 
 
@@ -143,7 +143,7 @@ def _sub_point_set(ps, vertex_subset):
 
 
 def test_brute_force_subset_requires_hull():
-    ps = PointSet.from_coords(QUAD_PLUS_ONE)
+    ps = PointSet.from_points(QUAD_PLUS_ONE)
     with pytest.raises(ValueError, match="vertex subset must contain every hull vertex"):
         brute_force_count(ps, [0, 1, 2, 4])
     with pytest.raises(ValueError, match="vertex subset contains unknown indices"):
@@ -219,7 +219,7 @@ def test_triangulation_edges_derived():
 
 
 def test_triangulation_is_a_slotted_frozen_value():
-    ps = PointSet.from_coords([(0, 0), (5, 1), (6, 5), (1, 6)])
+    ps = PointSet.from_points([(0, 0), (5, 1), (6, 5), (1, 6)])
     t = Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (0, 2, 3)))
     assert not hasattr(t, "__dict__")
     for name, value in (("vertex_subset", frozenset()), ("triangles", ())):
@@ -239,7 +239,7 @@ def test_check_triangulation_ignores_the_vertex_order_of_each_triangle():
         for t in enumerate_partial(ps):
             shuffled = tuple(tuple(rng.sample(tri, 3)) for tri in t.triangles)
             check_triangulation(ps, Triangulation(t.vertex_subset, shuffled))
-    ps = PointSet.from_coords([(0, 0), (5, 1), (6, 5), (1, 6)])
+    ps = PointSet.from_points([(0, 0), (5, 1), (6, 5), (1, 6)])
     check_triangulation(ps, Triangulation(frozenset({0, 1, 2, 3}), ((2, 1, 0), (0, 2, 3))))
     with pytest.raises(ValueError, match=r"repeated triangle \(0, 1, 2\)"):
         check_triangulation(
@@ -247,7 +247,7 @@ def test_check_triangulation_ignores_the_vertex_order_of_each_triangle():
 
 
 def test_check_triangulation_rejects_bad_cover():
-    ps = PointSet.from_coords([(0, 0), (5, 1), (6, 5), (1, 6)])
+    ps = PointSet.from_points([(0, 0), (5, 1), (6, 5), (1, 6)])
     with pytest.raises(ValueError):
         check_triangulation(ps, Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2),)))
     with pytest.raises(ValueError):
@@ -256,7 +256,7 @@ def test_check_triangulation_rejects_bad_cover():
 
 
 def test_check_triangulation_rejects_an_index_outside_the_point_set():
-    ps = PointSet.from_coords([(0, 0), (5, 1), (1, 6)])
+    ps = PointSet.from_points([(0, 0), (5, 1), (1, 6)])
     for t in (Triangulation(frozenset({0, 1, 2, 7}), ((0, 1, 7), (0, 1, 2))),
               Triangulation(frozenset({0, 1, 2}), ((0, 1, 2), (0, 1, 7))),
               Triangulation(frozenset({-1, 0, 1, 2}), ((0, 1, 2),))):
@@ -278,7 +278,7 @@ def test_check_triangulation_rejects_an_index_outside_the_point_set():
      "area mismatch: triangles cover 176, hull is 332"),
 ], ids=["hull-missing", "degenerate", "outside-subset", "nested", "area"])
 def test_check_triangulation_rejections(coords, sub, triangles, message):
-    ps = PointSet.from_coords(coords)
+    ps = PointSet.from_points(coords)
     with pytest.raises(ValueError) as rejected:
         check_triangulation(ps, Triangulation(frozenset(sub), triangles))
     assert str(rejected.value) == message
