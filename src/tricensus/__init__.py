@@ -43,7 +43,6 @@ from .generators import (
     generate,
 )
 from .geom import (
-    Point,
     PointSet,
     convex_hull,
     general_position_violation,

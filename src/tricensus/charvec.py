@@ -48,10 +48,38 @@ from functools import cache, cmp_to_key
 from itertools import chain, combinations, permutations
 
 from .errors import ConstructionError, SizeCapError
-from .geom import Point, PointSet, general_position_violation, integer_view, turn
+from .geom import PointSet, general_position_violation, integer_view, turn
 
 GOOD_POLYGON_CAP = 10
 PROJECTION_ROUNDS = 64
+
+
+def _frame_view(points) -> tuple[tuple[int, int], ...]:
+    """The integer view of a frame's points, refused unless in general position."""
+    view = integer_view(points)
+    witness = general_position_violation(view)
+    if witness is not None:
+        raise ValueError(f"frame points not in general position: indices {witness}")
+    return view
+
+
+def _chord_mask(p, q, c, xy, ks) -> int:
+    """Bit k, for k in ``ks``, set when ``xy[k]`` lies on the other side of
+    chord p--q from ``c``."""
+    side = turn(p, q, c)
+    return sum(1 << k for k in ks if turn(p, q, xy[k]) != side)
+
+
+def _fold(beyond, chain, n: int, shift: int = 0) -> tuple[int, ...]:
+    """The n-bit vector of a chain of nodes, node e's masks being
+    ``beyond[e + shift]``: a non-vertex takes its bit from the chord over it,
+    an inner node the flipped bit from the chord joining its two neighbors."""
+    mask = 0
+    for u, v in zip(chain, chain[1:]):
+        mask |= beyond[u + shift][v + shift]
+    for u, k, v in zip(chain, chain[1:], chain[2:]):
+        mask |= ~beyond[u + shift][v + shift] & (1 << k)
+    return tuple((mask >> k) & 1 for k in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -62,46 +90,43 @@ PROJECTION_ROUNDS = 64
 class AngleFrame:
     """An angle with its interior points sorted left to right.
 
-    Chain node -1 is the left arm, node n the right arm and node k < n the
-    interior point P_k.  For nodes u < v, ``beyond[u + 1][v + 1]`` has bit i
-    set, u < i < v, when P_i lies on the other side of chord u--v from the
-    apex: the ray to P_i lies between the rays to u and v, so that is when
-    apex--P_i properly crosses the chord.  :func:`build_angle_frame` builds
-    the masks from the integer view it sorts on.
+    The apex, the arms and the interior points are the (x, y) pairs the
+    frame was built from, as given.  Chain node -1 is the left arm, node n
+    the right arm and node k < n the interior point P_k.  For nodes u < v,
+    ``beyond[u + 1][v + 1]`` has bit i set, u < i < v, when P_i lies on the
+    other side of chord u--v from the apex: the ray to P_i lies between the
+    rays to u and v, so that is when apex--P_i properly crosses the chord.
+    :func:`build_angle_frame` builds the masks from the integer view it
+    sorts on.
     """
 
-    apex: Point
-    left_arm: Point
-    right_arm: Point
-    interior: tuple[Point, ...]
+    apex: tuple
+    left_arm: tuple
+    right_arm: tuple
+    interior: tuple[tuple, ...]
     beyond: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
 
 
-def build_angle_frame(apex: Point, left_arm: Point, right_arm: Point, pts) -> AngleFrame:
+def build_angle_frame(apex, left_arm, right_arm, pts) -> AngleFrame:
     """Validate the configuration, sort the interior points angularly and
     build the chord masks."""
     pts = list(pts)
-    view = integer_view([apex, left_arm, right_arm, *pts])
-    witness = general_position_violation(view)
-    if witness is not None:
-        raise ValueError(f"frame points not in general position: indices {witness}")
-    a, left, right, *xy = view
+    a, left, right, *xy = _frame_view([apex, left_arm, right_arm, *pts])
     s = turn(a, left, right)
-    for p, q in zip(pts, xy):
+    for (x, y), q in zip(pts, xy):
         if turn(a, left, q) != s or turn(a, right, q) != -s:
-            raise ValueError(f"{p} is not strictly inside the angle")
+            raise ValueError(f"({x}, {y}) is not strictly inside the angle")
 
     # X comes before Y when the angle from the left arm at the apex is smaller
     def cmp(i: int, j: int) -> int:
         return -s * turn(a, xy[i], xy[j])
 
     order = sorted(range(len(pts)), key=cmp_to_key(cmp))
-    nodes = (left, *(xy[i] for i in order), right)  # chain node e is nodes[e + 1]
+    inner = [xy[i] for i in order]
+    nodes = (left, *inner, right)  # chain node e is nodes[e + 1]
     beyond = [[0] * len(nodes) for _ in nodes]
     for j, l in combinations(range(len(nodes)), 2):
-        p, q = nodes[j], nodes[l]
-        side = turn(p, q, a)
-        beyond[j][l] = sum(1 << (k - 1) for k in range(j + 1, l) if turn(p, q, nodes[k]) != side)
+        beyond[j][l] = _chord_mask(nodes[j], nodes[l], a, inner, range(j, l - 1))
     return AngleFrame(apex, left_arm, right_arm, tuple(pts[i] for i in order),
                       tuple(map(tuple, beyond)))
 
@@ -122,18 +147,8 @@ def _validate_polyline(frame: AngleFrame, polyline) -> tuple[int, ...]:
 
 def polyline_charvec(frame: AngleFrame, polyline) -> tuple[int, ...]:
     """Characteristic vector of a polyline, one bit per interior point."""
-    verts = _validate_polyline(frame, polyline)
     n = len(frame.interior)
-    beyond = frame.beyond
-    nodes = (-1, *verts, n)
-    # a non-vertex takes its bit from the chain chord over it, a vertex the
-    # flipped bit from the chord joining its two neighbors
-    mask = 0
-    for u, v in zip(nodes, nodes[1:]):
-        mask |= beyond[u + 1][v + 1]
-    for u, k, v in zip(nodes, verts, nodes[2:]):
-        mask |= ~beyond[u + 1][v + 1] & (1 << k)
-    return tuple((mask >> k) & 1 for k in range(n))
+    return _fold(frame.beyond, (-1, *_validate_polyline(frame, polyline), n), n, shift=1)
 
 
 def polyline_from_charvec(frame: AngleFrame, bits) -> tuple[int, ...]:
@@ -198,16 +213,17 @@ def frame_bijection_holds(frame: AngleFrame) -> bool:
 class RadialFrame:
     """A center with its surrounding points sorted counter-clockwise.
 
-    The order starts at ``reference``, the first direction from the fixed
-    sequence (0,-1), (1,0), (1,-1), (1,-2), ... that is parallel to no
-    center-to-point ray.  ``ccw[u]`` has bit v set when P_v is less than a
+    The center and the points are the (x, y) pairs the frame was built from,
+    as given.  The order starts at ``reference``, the first direction from
+    the fixed sequence (0,-1), (1,0), (1,-1), (1,-2), ... that is parallel to
+    no center-to-point ray.  ``ccw[u]`` has bit v set when P_v is less than a
     half-turn ccw from P_u.  ``beyond[u][v]`` has bit k set, for P_k strictly
     inside the ccw interval from P_u to P_v, when the center lies strictly
     inside the cone at P_k spanned by the rays to P_u and P_v.
     """
 
-    center: Point
-    points: tuple[Point, ...]
+    center: tuple
+    points: tuple[tuple, ...]
     reference: tuple[int, int]
     ccw: tuple[int, ...] = field(compare=False, repr=False)
     beyond: tuple[tuple[int, ...], ...] = field(compare=False, repr=False)
@@ -227,14 +243,10 @@ def _reference_direction(center: tuple[int, int], xy) -> tuple[int, int]:
         k += 1
 
 
-def build_radial_frame(center: Point, pts) -> RadialFrame:
+def build_radial_frame(center, pts) -> RadialFrame:
     """Validate the configuration, sort the points ccw and build the masks."""
     pts = list(pts)
-    view = integer_view([center, *pts])
-    witness = general_position_violation(view)
-    if witness is not None:
-        raise ValueError(f"frame points not in general position: indices {witness}")
-    c, *xy = view
+    c, *xy = _frame_view([center, *pts])
     ref = _reference_direction(c, xy)
     cx, cy = c
 
@@ -255,10 +267,8 @@ def build_radial_frame(center: Point, pts) -> RadialFrame:
     beyond = [[0] * n for _ in ring]
     for u, v in permutations(range(n), 2):
         if (ccw[u] >> v) & 1:  # in the cone when beyond the chord, as in an angle frame
-            p, q = ring[u], ring[v]
-            side = turn(p, q, c)
             between = ((u + j) % n for j in range(1, (v - u) % n))
-            beyond[u][v] = sum(1 << k for k in between if turn(p, q, ring[k]) != side)
+            beyond[u][v] = _chord_mask(ring[u], ring[v], c, ring, between)
         else:  # in the cone when within a half-turn of both ends: inside triangle u, k, v
             beyond[u][v] = ccw[u] & ~ccw[v]
     return RadialFrame(center, tuple(pts[i] for i in order), ref, tuple(ccw),
@@ -305,15 +315,7 @@ def polygon_charvec(frame: RadialFrame, vertices) -> tuple[int, ...]:
     verts = tuple(vertices)
     if not is_good_polygon(frame, verts):
         raise ValueError(f"{verts} is not a good polygon for this frame")
-    beyond = frame.beyond
-    # a non-vertex takes its bit from the polygon side over it, a vertex the
-    # flipped bit from the chord joining its two neighbors
-    mask = 0
-    for u, v in zip(verts, verts[1:] + verts[:1]):
-        mask |= beyond[u][v]
-    for u, k, v in zip(verts[-1:] + verts[:-1], verts, verts[1:] + verts[:1]):
-        mask |= ~beyond[u][v] & (1 << k)
-    return tuple((mask >> k) & 1 for k in range(len(frame.points)))
+    return _fold(frame.beyond, (verts[-1], *verts, verts[0]), len(frame.points))
 
 
 def charvec_image(frame: RadialFrame) -> set[tuple[int, ...]]:
@@ -343,12 +345,11 @@ def move_along_ray(frame: RadialFrame, i: int, t) -> RadialFrame:
     t = Fraction(t)
     if t <= 0:
         raise ValueError("the ray parameter must be positive")
-    c = frame.center
-    p = frame.points[i]
-    moved = Point(c.x + t * (p.x - c.x), c.y + t * (p.y - c.y))
+    (cx, cy), (px, py) = frame.center, frame.points[i]
+    moved = (cx + t * (px - cx), cy + t * (py - cy))
     pts = list(frame.points)
     pts[i] = moved
-    new = build_radial_frame(c, pts)
+    new = build_radial_frame(frame.center, pts)
     # same rays, same reference, hence the same angular order
     assert new.points[i] == moved and new.reference == frame.reference
     return new
@@ -363,7 +364,7 @@ def ray_move_preserves_image(frame: RadialFrame, i: int, t) -> bool:
 # Outward projection to convex position
 # ---------------------------------------------------------------------------
 
-def _ray_exit(pts, sides, origin: Point, through: Point):
+def _ray_exit(pts, sides, origin, through):
     """Where the ray origin -> through leaves the hull of ``pts``, whose
     counter-clockwise edges are ``sides``, and the profile there.
 
@@ -371,18 +372,15 @@ def _ray_exit(pts, sides, origin: Point, through: Point):
     fraction t along hull edge e, and ray parameter u + h lies t*(1 - t)/|e|
     beyond e, on a concave arc over the edge.
     """
-    dx = through.x - origin.x
-    dy = through.y - origin.y
+    (ox, oy), (px, py) = origin, through
+    dx, dy = px - ox, py - oy
     for qi, ri in sides:
-        q = pts[qi]
-        r = pts[ri]
-        ex = r.x - q.x
-        ey = r.y - q.y
+        (qx, qy), (rx, ry) = pts[qi], pts[ri]
+        ex, ey = rx - qx, ry - qy
         den = dx * ey - dy * ex
         if den == 0:
             continue
-        wx = q.x - origin.x
-        wy = q.y - origin.y
+        wx, wy = qx - ox, qy - oy
         u = (wx * ey - wy * ex) / den
         t = (wx * dy - wy * dx) / den
         if 0 < t < 1 and u > 0:
@@ -408,7 +406,7 @@ def project_to_convex_position(ps: PointSet, pivot: int) -> PointSet:
     if not movers:
         return ps
     pts = ps.points
-    origin = pts[pivot]
+    ox, oy = origin = pts[pivot]
     exits = {i: _ray_exit(pts, ps.hull_sides(), origin, pts[i]) for i in movers}
     hull_set = set(ps.hull)
     expected_hull = hull_set | set(movers)
@@ -419,8 +417,8 @@ def project_to_convex_position(ps: PointSet, pivot: int) -> PointSet:
         new_pts = list(pts)
         for i, (u, height) in exits.items():
             s = u + scale * height
-            p = pts[i]
-            new_pts[i] = Point(origin.x + s * (p.x - origin.x), origin.y + s * (p.y - origin.y))
+            px, py = pts[i]
+            new_pts[i] = (ox + s * (px - ox), oy + s * (py - oy))
         try:
             out = PointSet.from_points(new_pts)
         except ValueError:

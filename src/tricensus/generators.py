@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .closeness import blocking_apex
 from .errors import ConstructionError
-from .geom import Point, PointSet, added_xy_violation, general_position_violation, turn
+from .geom import PointSet, added_xy_violation, general_position_violation, turn
 from .charvec import AngleFrame, RadialFrame, build_angle_frame, build_radial_frame
 
 _MASK64 = (1 << 64) - 1
@@ -214,8 +214,7 @@ def gen_angle_frame(n: int, seed: int = 0) -> AngleFrame:
             continue
         if added_xy_violation(xy, cand) is None:
             xy.append(cand)
-    apex, left, right, *pts = (Point(x, y) for x, y in xy)
-    return build_angle_frame(apex, left, right, pts)
+    return build_angle_frame(apex, left, right, xy[3:])
 
 
 def gen_radial_frame(n: int, seed: int = 0) -> RadialFrame:
@@ -227,5 +226,4 @@ def gen_radial_frame(n: int, seed: int = 0) -> RadialFrame:
                 rng.below(2 * _FRAME_SCALE + 1) - _FRAME_SCALE)
         if added_xy_violation(xy, cand) is None:
             xy.append(cand)
-    center, *pts = (Point(x, y) for x, y in xy)
-    return build_radial_frame(center, pts)
+    return build_radial_frame(xy[0], xy[1:])

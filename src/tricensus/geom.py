@@ -1,19 +1,20 @@
 """Exact planar primitives on the integer view of rational points.
 
-A point set is stored once, as its integer view, :func:`integer_view`:
-every coordinate times ``scale``, the lcm of all reduced denominators.
-Coordinates are ints, and `fractions.Fraction` values only where a file
-holds a ``p/q`` token or a caller passes one; there are no epsilons, no
-tolerances and no floating point anywhere.  A positive scale keeps every
-orientation sign, equality and the (x, y) order, so a cross product of
-integer pairs decides what the same product of the rationals decides;
-integer inputs stay as they are, with scale 1.  The predicates take that
-view: :func:`turn`, :func:`convex_hull`, :func:`added_xy_violation` and
+A point is an (x, y) pair whose coordinates are ints, or
+`fractions.Fraction` values only where a file holds a ``p/q`` token or a
+caller passes one; there are no epsilons, no tolerances and no floating
+point anywhere.  A point set is stored once, as its integer view,
+:func:`integer_view`: every coordinate times ``scale``, the lcm of all
+reduced denominators.  A positive scale keeps every orientation sign,
+equality and the (x, y) order, so a cross product of integer pairs decides
+what the same product of the rationals decides; integer inputs stay as
+they are, with scale 1.  The predicates take that view: :func:`turn`,
+:func:`convex_hull`, :func:`added_xy_violation` and
 :func:`general_position_violation` read integer pairs, and each collection
 builds its view once, where its points enter.  A :class:`PointSet` stores
 its view as ``xy`` with its ``scale`` (O(n) memory), and
 :meth:`PointSet.orient_table`, closeness and counting read it; its
-rational points (:class:`Point`) are rebuilt from them only where
+rational points, pairs of Fractions, are rebuilt from them only where
 ``points`` is read.
 
 Point sets are validated to be in general position (pairwise distinct, no
@@ -53,27 +54,6 @@ def _checked(value):
     raise TypeError(f"coordinate must be int or Fraction, got {type(value).__name__}")
 
 
-@dataclass(frozen=True)
-class Point:
-    """Immutable planar point with exact rational coordinates."""
-
-    x: Fraction
-    y: Fraction
-
-    def __post_init__(self):
-        if not isinstance(self.x, Fraction):
-            object.__setattr__(self, "x", Fraction(_checked(self.x)))
-        if not isinstance(self.y, Fraction):
-            object.__setattr__(self, "y", Fraction(_checked(self.y)))
-
-    def __iter__(self):
-        yield self.x
-        yield self.y
-
-    def __repr__(self):
-        return f"Point({self.x}, {self.y})"
-
-
 def _view(points) -> tuple[tuple[tuple[int, int], ...], int]:
     """:func:`integer_view` of ``points`` and its scale."""
     pairs = [(x, y) for x, y in points]
@@ -85,7 +65,7 @@ def _view(points) -> tuple[tuple[tuple[int, int], ...], int]:
 
 
 def integer_view(points) -> tuple[tuple[int, int], ...]:
-    """(x, y) pairs of ints or Fractions, such as Points, as integer pairs:
+    """(x, y) pairs of ints or Fractions as integer pairs:
     every coordinate times the lcm of all reduced denominators.
 
     The scale is positive, so orientation signs, equality and the (x, y)
@@ -221,7 +201,7 @@ class PointSet:
 
     @classmethod
     def from_points(cls, points) -> "PointSet":
-        """The point set of (x, y) pairs of ints or Fractions, such as Points."""
+        """The point set of (x, y) pairs of ints or Fractions."""
         xy, scale = _view(points)
         if len(xy) < 3:
             raise ValueError("a point set needs at least 3 points")
@@ -234,9 +214,9 @@ class PointSet:
         return cls(xy, hull, interior, scale)
 
     @property
-    def points(self) -> tuple[Point, ...]:
-        """The rational points, ``xy`` over ``scale``."""
-        return tuple(Point(Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in self.xy)
+    def points(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """The rational points as (x, y) pairs of Fractions, ``xy`` over ``scale``."""
+        return tuple((Fraction(x, self.scale), Fraction(y, self.scale)) for x, y in self.xy)
 
     def hull_sides(self) -> tuple[tuple[int, int], ...]:
         """Hull edges as counter-clockwise index pairs."""
@@ -283,11 +263,12 @@ def _parse_coord(token: str) -> int | Fraction:
     return int(p) if q is None else Fraction(int(p), int(q))
 
 
-def _parse_pairs(text: str):
-    """Yield the (x, y) coordinate pairs of the v1 point format; the header line is mandatory."""
+def parse_points_text(text: str) -> list[tuple[int | Fraction, int | Fraction]]:
+    """The (x, y) coordinate pairs of the v1 point format; the header line is mandatory."""
     lines = text.splitlines()
     if not lines or lines[0].strip() != POINTS_HEADER:
         raise ValueError(f"missing header line {POINTS_HEADER!r}")
+    pairs = []
     for lineno, raw in enumerate(lines[1:], start=2):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -295,21 +276,17 @@ def _parse_pairs(text: str):
         fields = line.split()
         if len(fields) != 2:
             raise ValueError(f"line {lineno}: expected 'x y', got {raw!r}")
-        yield _parse_coord(fields[0]), _parse_coord(fields[1])
-
-
-def parse_points_text(text: str) -> list[Point]:
-    """Parse the v1 point format; the header line is mandatory."""
-    return [Point(x, y) for x, y in _parse_pairs(text)]
+        pairs.append((_parse_coord(fields[0]), _parse_coord(fields[1])))
+    return pairs
 
 
 def format_points(points) -> str:
-    """The v1 text of (x, y) pairs of ints or Fractions, such as Points."""
+    """The v1 text of (x, y) pairs of ints or Fractions."""
     return "\n".join([POINTS_HEADER, *(f"{x!s} {y!s}" for x, y in points)]) + "\n"
 
 
 def load_point_set(path) -> PointSet:
-    return PointSet.from_points(_parse_pairs(Path(path).read_text()))
+    return PointSet.from_points(parse_points_text(Path(path).read_text()))
 
 
 def save_point_set(path, ps: PointSet) -> None:

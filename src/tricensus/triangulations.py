@@ -559,9 +559,8 @@ def check_triangulation(ps: PointSet, tri: Triangulation) -> None:
                 raise ValueError(f"vertex {w} lies inside triangle {(a, b, c)}")
 
     def doubled_area(a, b, c):
-        v = (pts[b].x - pts[a].x) * (pts[c].y - pts[a].y) \
-            - (pts[b].y - pts[a].y) * (pts[c].x - pts[a].x)
-        return v if v > 0 else -v
+        (ax, ay), (bx, by), (cx, cy) = pts[a], pts[b], pts[c]
+        return abs((bx - ax) * (cy - ay) - (by - ay) * (cx - ax))
 
     hull_area = 0
     h = ps.hull

@@ -1,13 +1,12 @@
-"""Orientation predicates on ``Fraction`` points, kept as test references.
+"""Orientation predicates on rational points, kept as test references.
 
-The package decides every sign on the exact integer view of a point set
+A point is an (x, y) pair of ints or ``Fraction`` values.  The package
+decides every sign on the exact integer view of a point set
 (:func:`tricensus.geom.integer_view`).  These predicates compute the same
 signs straight from the rational coordinates, so tests compare the two.
 """
 
 from __future__ import annotations
-
-from tricensus.geom import Point
 
 # point_in_triangle classifications
 INSIDE = "inside"
@@ -15,9 +14,9 @@ BOUNDARY = "boundary"
 OUTSIDE = "outside"
 
 
-def orient(p: Point, q: Point, r: Point) -> int:
+def orient(p, q, r) -> int:
     """Sign of the turn p -> q -> r: +1 counter-clockwise, -1 clockwise, 0 collinear."""
-    px, py, qx, qy, rx, ry = p.x, p.y, q.x, q.y, r.x, r.y
+    (px, py), (qx, qy), (rx, ry) = p, q, r
     # integer-grid fast path; the general branch is exact as well, just slower
     if (px.denominator == 1 and py.denominator == 1 and qx.denominator == 1
             and qy.denominator == 1 and rx.denominator == 1 and ry.denominator == 1):
@@ -32,7 +31,7 @@ def orient(p: Point, q: Point, r: Point) -> int:
     return 0
 
 
-def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> str:
+def point_in_triangle(p, a, b, c) -> str:
     """Classify p against triangle abc as INSIDE, BOUNDARY or OUTSIDE.
 
     The result does not depend on the order of a, b, c.  Raises ValueError
@@ -53,7 +52,7 @@ def point_in_triangle(p: Point, a: Point, b: Point, c: Point) -> str:
     return INSIDE
 
 
-def segments_properly_cross(a: Point, b: Point, c: Point, d: Point) -> bool:
+def segments_properly_cross(a, b, c, d) -> bool:
     """True iff the open segments ab and cd share exactly one interior point.
 
     Segments that merely touch, share an endpoint or overlap along a common

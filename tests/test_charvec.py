@@ -26,20 +26,19 @@ from tricensus.charvec import (
 from tricensus.closeness import classify
 from tricensus.errors import ConstructionError, SizeCapError
 from tricensus.generators import gen_angle_frame, gen_radial_frame, gen_random
-from tricensus.geom import Point, PointSet, convex_hull, integer_view
+from tricensus.geom import PointSet, convex_hull, integer_view
 from tricensus.triangulations import count_partial
 
 from oracles import orient, segments_properly_cross
 
-P = Point
 F = Fraction
 
-APEX, LEFT, RIGHT = P(0, 4), P(-4, 0), P(4, 0)
+APEX, LEFT, RIGHT = (0, 4), (-4, 0), (4, 0)
 
 
 def test_build_angle_frame_sorts_left_to_right():
-    frame = build_angle_frame(APEX, LEFT, RIGHT, [P(1, 1), P(-1, 1)])
-    assert frame.interior == (P(-1, 1), P(1, 1))
+    frame = build_angle_frame(APEX, LEFT, RIGHT, [(1, 1), (-1, 1)])
+    assert frame.interior == ((-1, 1), (1, 1))
 
 
 def test_build_angle_frame_empty():
@@ -51,11 +50,11 @@ def test_build_angle_frame_empty():
 
 def test_build_angle_frame_rejects_point_outside():
     with pytest.raises(ValueError):
-        build_angle_frame(APEX, LEFT, RIGHT, [P(0, 5)])
+        build_angle_frame(APEX, LEFT, RIGHT, [(0, 5)])
 
 
 def test_charvec_single_point_inside_arm_triangle():
-    frame = build_angle_frame(APEX, LEFT, RIGHT, [P(0, 1)])
+    frame = build_angle_frame(APEX, LEFT, RIGHT, [(0, 1)])
     assert polyline_charvec(frame, ()) == (0,)
     assert polyline_charvec(frame, (0,)) == (1,)
     assert polyline_from_charvec(frame, (0,)) == ()
@@ -63,7 +62,7 @@ def test_charvec_single_point_inside_arm_triangle():
 
 
 def test_charvec_single_point_beyond_arm_chord():
-    frame = build_angle_frame(APEX, LEFT, RIGHT, [P(0, -2)])
+    frame = build_angle_frame(APEX, LEFT, RIGHT, [(0, -2)])
     assert polyline_charvec(frame, ()) == (1,)
     assert polyline_charvec(frame, (0,)) == (0,)
     assert polyline_from_charvec(frame, (1,)) == ()
@@ -93,54 +92,54 @@ def test_polyline_charvec_rejects_bad_polyline():
 # -- radial frames ----------------------------------------------------------
 
 def test_radial_frame_reference_skips_vertical_rays():
-    frame = build_radial_frame(P(0, 0), [P(0, -3), P(2, 1)])
+    frame = build_radial_frame((0, 0), [(0, -3), (2, 1)])
     assert frame.reference != (0, -1)
     assert frame.reference == (1, 0)
 
 
 def test_radial_frame_singleton():
-    frame = build_radial_frame(P(0, 0), [P(3, 2)])
-    assert frame.points == (P(3, 2),)
+    frame = build_radial_frame((0, 0), [(3, 2)])
+    assert frame.points == ((3, 2),)
 
 
 def test_radial_frame_compass_order():
     # perturbed compass points, counter-clockwise from straight down
-    frame = build_radial_frame(P(0, 0), [P(1, 7), P(-7, 2), P(-2, -7), P(7, 1)])
+    frame = build_radial_frame((0, 0), [(1, 7), (-7, 2), (-2, -7), (7, 1)])
     assert frame.reference == (0, -1)
-    assert frame.points == (P(7, 1), P(1, 7), P(-7, 2), P(-2, -7))
+    assert frame.points == ((7, 1), (1, 7), (-7, 2), (-2, -7))
 
 
 def test_good_polygon_needs_to_wrap_the_center():
-    frame = build_radial_frame(P(0, 0), [P(0, 1), P(-1, F(1, 2)), P(1, F(1, 2))])
+    frame = build_radial_frame((0, 0), [(0, 1), (-1, F(1, 2)), (1, F(1, 2))])
     assert enumerate_good_polygons(frame) == []
 
 
 def test_polygon_charvec_chord_between_center_and_point():
     # polygon passes above (0,1): its bracketing chord lies between it and the center
-    frame = build_radial_frame(P(0, 0), [P(0, 1), P(-1, F(1, 2)), P(1, F(1, 2)), P(1, -3)])
-    assert frame.points == (P(1, F(1, 2)), P(0, 1), P(-1, F(1, 2)), P(1, -3))
+    frame = build_radial_frame((0, 0), [(0, 1), (-1, F(1, 2)), (1, F(1, 2)), (1, -3)])
+    assert frame.points == ((1, F(1, 2)), (0, 1), (-1, F(1, 2)), (1, -3))
     poly = (0, 2, 3)
     assert is_good_polygon(frame, poly)
     assert polygon_charvec(frame, poly)[1] == 1
 
 
 def test_polygon_charvec_chord_beyond_point():
-    frame = build_radial_frame(P(0, 0), [P(0, F(1, 2)), P(-1, 1), P(1, 1), P(1, -3)])
-    assert frame.points == (P(1, 1), P(0, F(1, 2)), P(-1, 1), P(1, -3))
+    frame = build_radial_frame((0, 0), [(0, F(1, 2)), (-1, 1), (1, 1), (1, -3)])
+    assert frame.points == ((1, 1), (0, F(1, 2)), (-1, 1), (1, -3))
     poly = (0, 2, 3)
     assert is_good_polygon(frame, poly)
     assert polygon_charvec(frame, poly)[1] == 0
 
 
 def test_polygon_charvec_triangle_vertices_all_zero():
-    frame = build_radial_frame(P(0, 0), [P(2, 1), P(-3, 2), P(1, -3)])
+    frame = build_radial_frame((0, 0), [(2, 1), (-3, 2), (1, -3)])
     polys = enumerate_good_polygons(frame)
     assert len(polys) == 1
     assert polygon_charvec(frame, polys[0]) == (0, 0, 0)
 
 
 def test_polygon_charvec_rejects_bad_polygon():
-    frame = build_radial_frame(P(0, 0), [P(2, 1), P(-3, 2), P(1, -3), P(3, 3)])
+    frame = build_radial_frame((0, 0), [(2, 1), (-3, 2), (1, -3), (3, 3)])
     assert enumerate_good_polygons(frame) == [(0, 1, 3), (0, 2, 3), (0, 1, 2, 3)]
     # too few vertices, a polygon that misses the center, an index out of range
     for bad in ((0, 1), (1, 2, 3), (0, 1, 4), (-1, 0, 1)):
@@ -187,10 +186,10 @@ def test_good_polygon_enumeration_cap():
 
 def test_frames_reject_a_collinear_triple():
     with pytest.raises(ValueError) as rejected:
-        build_angle_frame(APEX, LEFT, RIGHT, [P(0, 1), P(0, 2)])
+        build_angle_frame(APEX, LEFT, RIGHT, [(0, 1), (0, 2)])
     assert str(rejected.value) == "frame points not in general position: indices (0, 3, 4)"
     with pytest.raises(ValueError) as rejected:
-        build_radial_frame(P(0, 0), [P(1, 1), P(2, 2), P(-3, 1)])
+        build_radial_frame((0, 0), [(1, 1), (2, 2), (-3, 1)])
     assert str(rejected.value) == "frame points not in general position: indices (0, 1, 2)"
 
 
@@ -225,9 +224,9 @@ def test_ray_move_rejects_an_index_outside_the_frame():
 
 def test_ray_move_that_breaks_general_position_errors():
     # moving (1,4) to a quarter distance lands on the line through (2,1) and (6,1)
-    frame = build_radial_frame(P(0, 0), [P(2, 1), P(6, 1), P(1, 4)])
+    frame = build_radial_frame((0, 0), [(2, 1), (6, 1), (1, 4)])
     with pytest.raises(ValueError):
-        move_along_ray(frame, frame.points.index(P(1, 4)), F(1, 4))
+        move_along_ray(frame, frame.points.index((1, 4)), F(1, 4))
 
 
 # -- rational frames against the Fraction oracles ------------------------------
@@ -238,7 +237,7 @@ def _grid(lo, hi):
 
 
 def _grid_points(lo, hi, y_lo=None, y_hi=None):
-    return st.builds(P, _grid(lo, hi), _grid(lo if y_lo is None else y_lo, hi if y_hi is None else y_hi))
+    return st.tuples(_grid(lo, hi), _grid(lo if y_lo is None else y_lo, hi if y_hi is None else y_hi))
 
 
 # an angle opening downwards from above the box [-8, 8]^2, and points mostly in it
@@ -247,7 +246,8 @@ angles = st.tuples(_grid_points(-2, 2, 9, 12), _grid_points(-40, -30, -12, -9),
 
 
 def _seventh(p):
-    return P(p.x / 7, p.y / 7)
+    x, y = p
+    return (F(x, 7), F(y, 7))
 
 
 def _kept_in_general_position(points):
@@ -300,8 +300,10 @@ def test_angle_frames_on_rational_grids_match_fraction_oracles(angle, points):
 
 def _radial_frame_by_point_orient(center, pts):
     """Reference frame: reference direction and counter-clockwise sort on Fraction points."""
+    cx, cy = center
+
     def cross(d, p):
-        return d[0] * (p.y - center.y) - d[1] * (p.x - center.x)
+        return d[0] * (p[1] - cy) - d[1] * (p[0] - cx)
 
     directions = ((0, -1) if k == 0 else (1, 1 - k) for k in count())
     ref = next(d for d in directions if all(cross(d, p) != 0 for p in pts))

@@ -13,7 +13,7 @@ from tricensus.closeness import (
     is_close,
 )
 from tricensus.generators import gen_convex, gen_double_circle, gen_quasi_convex, gen_random
-from tricensus.geom import Point, PointSet, added_xy_violation, integer_view
+from tricensus.geom import PointSet, added_xy_violation, integer_view
 from tricensus.triangulations import count_partial
 
 from oracles import INSIDE, orient, point_in_triangle
@@ -140,11 +140,8 @@ def test_classify_invariant_under_positive_affine_maps():
     ps = gen_double_circle(3)
     rep = classify(ps)
 
-    def apply(pt: Point) -> Point:
-        # det = 2*3 - 1*1 = 5 > 0
-        return Point(2 * pt.x + 1 * pt.y + 7, 1 * pt.x + 3 * pt.y - 4)
-
-    mapped = PointSet.from_points([apply(p) for p in ps.points])
+    # det = 2*3 - 1*1 = 5 > 0
+    mapped = PointSet.from_points([(2 * x + 1 * y + 7, 1 * x + 3 * y - 4) for x, y in ps.points])
     rep2 = classify(mapped)
     assert rep2.is_quasi_convex == rep.is_quasi_convex
     assert rep2.assignment == rep.assignment
@@ -208,7 +205,7 @@ def _in_general_position(points):
 
 
 def _point_sets(coord):
-    return (st.lists(st.builds(Point, coord, coord), min_size=3, max_size=12)
+    return (st.lists(st.tuples(coord, coord), min_size=3, max_size=12)
             .map(_in_general_position).filter(lambda pts: len(pts) >= 3)
             .map(PointSet.from_points))
 
@@ -245,7 +242,7 @@ def test_neighbor_triangle_rule_matches_point_in_triangle_on_grids(ps):
 
 
 def _rescaled(ps, factor, dx=0, dy=0):
-    return PointSet.from_points([Point(factor * p.x + dx, factor * p.y + dy) for p in ps.points])
+    return PointSet.from_points([(factor * x + dx, factor * y + dy) for x, y in ps.points])
 
 
 @settings(max_examples=40, deadline=None)

@@ -21,7 +21,6 @@ from tricensus.generators import (
     generate,
 )
 from tricensus.geom import (
-    Point,
     convex_hull,
     format_points,
     general_position_violation,
@@ -170,8 +169,8 @@ def _ring_candidate(m, sides, shrink, scale=64):
     lam = Fraction(1, 16 << shrink)
     pts = list(ring)
     for j in sides:
-        q, r = ring[j], ring[(j + 1) % m]
-        pts.append(Point((q.x + r.x) / 2 - lam * (r.y - q.y), (q.y + r.y) / 2 + lam * (r.x - q.x)))
+        (qx, qy), (rx, ry) = ring[j], ring[(j + 1) % m]
+        pts.append(((qx + rx) / 2 - lam * (ry - qy), (qy + ry) / 2 + lam * (rx - qx)))
     return integer_view(pts)
 
 
@@ -203,7 +202,7 @@ def _gen_random_whole_set_oracle(n, bbox, seed):
     pts = []
     misses = 0
     while len(pts) < n:
-        cand = Point(rng.below(bbox + 1), rng.below(bbox + 1))
+        cand = (rng.below(bbox + 1), rng.below(bbox + 1))
         if general_position_violation(integer_view(pts + [cand])) is None:
             pts.append(cand)
             continue

@@ -8,7 +8,6 @@ from tricensus import charvec, closeness, generators, geom, harness, triangulati
 from tricensus.closeness import classify
 from tricensus.geom import (
     POINTS_HEADER,
-    Point,
     PointSet,
     added_xy_violation,
     convex_hull,
@@ -19,13 +18,17 @@ from tricensus.geom import (
     parse_points_text,
     save_point_set,
 )
-from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
+from tricensus.generators import (
+    gen_angle_frame,
+    gen_double_circle,
+    gen_quasi_convex,
+    gen_radial_frame,
+    gen_random,
+)
 from tricensus.harness import verify_instance
 from tricensus.triangulations import count_partial
 
 from oracles import BOUNDARY, INSIDE, OUTSIDE, orient, point_in_triangle, segments_properly_cross
-
-P = Point
 
 
 def _added_violation(points, new):
@@ -35,47 +38,47 @@ def _added_violation(points, new):
 
 
 def test_orient_canonical_triples():
-    assert orient(P(0, 0), P(1, 0), P(0, 1)) == 1
-    assert orient(P(0, 0), P(1, 0), P(2, 0)) == 0
-    assert orient(P(0, 0), P(0, 1), P(1, 0)) == -1
+    assert orient((0, 0), (1, 0), (0, 1)) == 1
+    assert orient((0, 0), (1, 0), (2, 0)) == 0
+    assert orient((0, 0), (0, 1), (1, 0)) == -1
 
 
 def test_orient_rational_coordinates():
-    assert orient(P(0, 0), P(1, Fraction(1, 3)), P(2, Fraction(2, 3))) == 0
-    assert orient(P(0, 0), P(1, Fraction(1, 3)), P(2, Fraction(7, 10))) == 1
+    assert orient((0, 0), (1, Fraction(1, 3)), (2, Fraction(2, 3))) == 0
+    assert orient((0, 0), (1, Fraction(1, 3)), (2, Fraction(7, 10))) == 1
 
 
 def test_point_in_triangle_examples():
-    a, b, c = P(0, 0), P(3, 0), P(0, 3)
-    assert point_in_triangle(P(1, 1), a, b, c) == INSIDE
-    assert point_in_triangle(P(0, 0), a, b, c) == BOUNDARY
-    assert point_in_triangle(P(5, 5), a, b, c) == OUTSIDE
-    assert point_in_triangle(P(1, 0), a, b, c) == BOUNDARY  # on an edge
+    a, b, c = (0, 0), (3, 0), (0, 3)
+    assert point_in_triangle((1, 1), a, b, c) == INSIDE
+    assert point_in_triangle((0, 0), a, b, c) == BOUNDARY
+    assert point_in_triangle((5, 5), a, b, c) == OUTSIDE
+    assert point_in_triangle((1, 0), a, b, c) == BOUNDARY  # on an edge
 
 
 def test_point_in_triangle_degenerate_raises():
     with pytest.raises(ValueError):
-        point_in_triangle(P(1, 1), P(0, 0), P(1, 0), P(2, 0))
+        point_in_triangle((1, 1), (0, 0), (1, 0), (2, 0))
 
 
 def test_segments_properly_cross_examples():
-    assert segments_properly_cross(P(0, 0), P(2, 2), P(0, 2), P(2, 0))
-    assert not segments_properly_cross(P(0, 0), P(2, 0), P(2, 0), P(3, 1))
-    assert not segments_properly_cross(P(0, 0), P(1, 0), P(0, 1), P(1, 1))
+    assert segments_properly_cross((0, 0), (2, 2), (0, 2), (2, 0))
+    assert not segments_properly_cross((0, 0), (2, 0), (2, 0), (3, 1))
+    assert not segments_properly_cross((0, 0), (1, 0), (0, 1), (1, 1))
     # T-touching is not a proper crossing
-    assert not segments_properly_cross(P(0, 0), P(2, 0), P(1, 0), P(1, 1))
+    assert not segments_properly_cross((0, 0), (2, 0), (1, 0), (1, 1))
 
 
 def test_convex_hull_examples():
-    square = [P(0, 0), P(4, 0), P(4, 4), P(0, 4), P(2, 2)]
+    square = [(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)]
     assert convex_hull(integer_view(square)) == [0, 1, 2, 3]
-    assert convex_hull(integer_view([P(0, 0), P(5, 0), P(0, 5)])) == [0, 1, 2]
-    ring = [P(0, 0), P(4, -1), P(6, 2), P(3, 5), P(-1, 3)]
+    assert convex_hull(integer_view([(0, 0), (5, 0), (0, 5)])) == [0, 1, 2]
+    ring = [(0, 0), (4, -1), (6, 2), (3, 5), (-1, 3)]
     assert convex_hull(integer_view(ring)) == [4, 0, 1, 2, 3]  # ccw from the lexicographic minimum
 
 
 def test_convex_hull_starts_at_lexicographic_minimum():
-    pts = [P(4, 4), P(0, 0), P(4, 0), P(0, 4)]
+    pts = [(4, 4), (0, 0), (4, 0), (0, 4)]
     hull = convex_hull(integer_view(pts))
     assert hull[0] == 1
     assert set(hull) == {0, 1, 2, 3}
@@ -83,17 +86,17 @@ def test_convex_hull_starts_at_lexicographic_minimum():
 
 def test_convex_hull_collinear_raises():
     with pytest.raises(ValueError):
-        convex_hull(integer_view([P(0, 0), P(1, 1), P(2, 2), P(3, 3)]))
+        convex_hull(integer_view([(0, 0), (1, 1), (2, 2), (3, 3)]))
 
 
 def test_general_position_witnesses():
-    assert general_position_violation(integer_view([P(0, 0), P(1, 0), P(0, 1)])) is None
-    assert general_position_violation(integer_view([P(0, 0), P(1, 1), P(2, 2)])) == (0, 1, 2)
-    assert general_position_violation(integer_view([P(0, 0), P(0, 0), P(1, 0)])) == (0, 1)
+    assert general_position_violation(integer_view([(0, 0), (1, 0), (0, 1)])) is None
+    assert general_position_violation(integer_view([(0, 0), (1, 1), (2, 2)])) == (0, 1, 2)
+    assert general_position_violation(integer_view([(0, 0), (0, 0), (1, 0)])) == (0, 1)
     assert general_position_violation(((0, 0), (1, 0), (0, 1))) is None
-    assert _added_violation([P(0, 0), P(1, 0)], P(0, 1)) is None
-    assert _added_violation([P(0, 0), P(1, 0)], P(1, 0)) == (1,)
-    assert _added_violation([P(0, 0), P(3, 1), P(1, 1)], P(2, 2)) == (0, 2)
+    assert _added_violation([(0, 0), (1, 0)], (0, 1)) is None
+    assert _added_violation([(0, 0), (1, 0)], (1, 0)) == (1,)
+    assert _added_violation([(0, 0), (3, 1), (1, 1)], (2, 2)) == (0, 2)
 
 
 def test_point_set_construction():
@@ -119,7 +122,7 @@ def test_orient_table_matches_direct():
 # -- properties -------------------------------------------------------------
 
 coords = st.fractions(min_value=-50, max_value=50, max_denominator=8)
-points = st.builds(P, coords, coords)
+points = st.tuples(coords, coords)
 
 
 @given(points, points, points)
@@ -135,7 +138,8 @@ def test_orient_antisymmetry_and_rotation(p, q, r):
        coords, coords)
 def test_orient_invariant_under_scaling_and_translation(p, q, r, scale, dx, dy):
     def move(pt):
-        return P(scale * pt.x + dx, scale * pt.y + dy)
+        x, y = pt
+        return (scale * x + dx, scale * y + dy)
 
     assert orient(p, q, r) == orient(move(p), move(q), move(r))
 
@@ -156,7 +160,7 @@ def _triple_loop_violation(pts):
 
 
 # a 4 x 4 grid, so duplicates and collinear triples are common
-grid_points = st.lists(st.builds(P, st.integers(0, 3), st.integers(0, 3)), max_size=9)
+grid_points = st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=9)
 
 
 @given(grid_points)
@@ -189,7 +193,7 @@ def _pairwise_added_violation(pts, new):
 # k/d with d in 1..3 on a small grid: integer and rational points mix, and
 # equal points and collinear triples are common
 grid_fractions = st.builds(Fraction, st.integers(0, 4), st.integers(1, 3))
-rational_grid_points = st.lists(st.builds(P, grid_fractions, grid_fractions), max_size=9)
+rational_grid_points = st.lists(st.tuples(grid_fractions, grid_fractions), max_size=9)
 
 
 def _assert_witnesses_match_pairwise_loop(pts):
@@ -212,10 +216,10 @@ def test_violation_witnesses_match_pairwise_loop(pts):
 # in that range
 huge = st.integers(-2 ** 64, 2 ** 64)
 offset_grid_points = st.builds(
-    lambda ox, oy, sx, sy, cells, far: [P(ox + sx * a, oy + sy * b) for a, b in cells] + far,
+    lambda ox, oy, sx, sy, cells, far: [(ox + sx * a, oy + sy * b) for a, b in cells] + far,
     huge, huge, st.integers(1, 2 ** 64), st.integers(1, 2 ** 64),
     st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)), max_size=8),
-    st.lists(st.builds(P, huge, huge), max_size=2)).flatmap(st.permutations)
+    st.lists(st.tuples(huge, huge), max_size=2)).flatmap(st.permutations)
 
 
 @given(offset_grid_points)
@@ -246,10 +250,10 @@ def test_vertical_neighbours_share_one_key():
 
 def test_added_point_violation_exact_near_2_to_80():
     big = 2 ** 80
-    new = P(big, big + 1)
+    new = (big, big + 1)
 
     def at(dx, dy):
-        return P(new.x + dx, new.y + dy)
+        return (new[0] + dx, new[1] + dy)
 
     # (3 * 2^80 + 1, 5 * 2^80) and (3, 5) have equal float slopes but are not parallel
     near = at(3 * big + 1, 5 * big)
@@ -261,7 +265,7 @@ def test_added_point_violation_exact_near_2_to_80():
     # rational coordinates near 2^80 stay exact once the integer view scales them by
     # the lcm of their denominators
     third = Fraction(1, 3)
-    new = P(Fraction(big + 1, 3), Fraction(big, 7))
+    new = (Fraction(big + 1, 3), Fraction(big, 7))
     assert _added_violation([at(third, 1), at(big * third + third, big)], new) is None
     assert _added_violation([at(third, 1), at(big * third, big)], new) == (0, 1)
 
@@ -275,7 +279,7 @@ def test_large_sets_load_unchanged_and_reject_a_shared_line(ps, ends, witness):
     assert (loaded.points, loaded.hull, loaded.interior) == (ps.points, ps.hull, ps.interior)
     # the midpoint of two points is on their line, and here maybe on a lower-indexed one too
     a, b = (ps.points[i] for i in ends)
-    extended = ps.points + (P((a.x + b.x) / 2, (a.y + b.y) / 2),)
+    extended = ps.points + (((a[0] + b[0]) / 2, (a[1] + b[1]) / 2),)
     assert general_position_violation(integer_view(extended)) == witness
     with pytest.raises(ValueError, match=re.escape(f"collinear points at indices {witness}")):
         PointSet.from_points(extended)
@@ -313,13 +317,13 @@ def test_convex_hull_permutation_invariant(pts, rnd):
     assert [shuffled[i] for i in convex_hull(integer_view(shuffled))] == base
 
 
-# -- the integer view against the Point predicates it replaced --------------
+# -- the integer view against the Fraction predicates it replaced -----------
 
 def _hull_by_point_orient(points):
     """Reference hull: the monotone chain on Fraction coordinates with orient."""
     if len(points) < 3:
         raise ValueError("convex hull needs at least 3 points")
-    order = sorted(range(len(points)), key=lambda i: (points[i].x, points[i].y))
+    order = sorted(range(len(points)), key=points.__getitem__)
     for s, t in zip(order, order[1:]):
         if points[s] == points[t]:
             raise ValueError(f"duplicate point at indices {s} and {t}")
@@ -339,21 +343,21 @@ def _hull_by_point_orient(points):
 
 
 def _orient_table_from_points(points):
-    """Reference table: orient on every triple of Points."""
+    """Reference table: orient on every triple of points."""
     return [[[orient(a, b, c) for c in points] for b in points] for a in points]
 
 
 # wider grids than grid_points, so that hulls have interior points; the
 # rational one mixes the denominators 1, 2 and 3
-wide_grid_points = st.lists(st.builds(P, st.integers(-9, 9), st.integers(-9, 9)), max_size=12)
+wide_grid_points = st.lists(st.tuples(st.integers(-9, 9), st.integers(-9, 9)), max_size=12)
 wide_fractions = st.builds(Fraction, st.integers(-20, 20), st.integers(1, 3))
-wide_rational_points = st.lists(st.builds(P, wide_fractions, wide_fractions), max_size=12)
+wide_rational_points = st.lists(st.tuples(wide_fractions, wide_fractions), max_size=12)
 any_grid_points = st.one_of(grid_points, rational_grid_points, wide_grid_points, wide_rational_points)
 
 
 def test_integer_view_scales_by_the_lcm_of_the_denominators():
-    assert integer_view([P(3, -4), P(0, 7)]) == ((3, -4), (0, 7))
-    assert integer_view([P(Fraction(1, 2), Fraction(1, 3)), P(2, Fraction(-5, 6))]) == ((3, 2), (12, -5))
+    assert integer_view([(3, -4), (0, 7)]) == ((3, -4), (0, 7))
+    assert integer_view([(Fraction(1, 2), Fraction(1, 3)), (2, Fraction(-5, 6))]) == ((3, 2), (12, -5))
     ps = PointSet.from_points([(0, 0), (Fraction(7, 2), 0), (0, Fraction(5, 3))])
     assert ps.xy == ((0, 0), (21, 0), (0, 10)) and not ps._cache
 
@@ -388,8 +392,8 @@ def test_hull_and_table_match_on_ring_families():
 def test_parse_points_text():
     text = "# tricensus points v1\n0 0\n4 0   # a corner\n\n1/2 9/20\n-7 +3\n-6/4 012/05\n"
     pts = parse_points_text(text)
-    assert pts == [P(0, 0), P(4, 0), P(Fraction(1, 2), Fraction(9, 20)), P(-7, 3),
-                   P(Fraction(-3, 2), Fraction(12, 5))]
+    assert pts == [(0, 0), (4, 0), (Fraction(1, 2), Fraction(9, 20)), (-7, 3),
+                   (Fraction(-3, 2), Fraction(12, 5))]
     # the v1 grammar is an integer or p/q with q > 0, in ASCII digits, and nothing else
     for token in ("1e-3", "1E3", "1_0", "0.5", "1/0", "1/00", "1/-4", "1/+4", "-1/2/3",
                   "1/", "/2", "--1", "+-1", "0x10", "inf", "nan", "\u0663", "1/2e1"):
@@ -402,7 +406,7 @@ def test_parse_agrees_with_the_fraction_string_parser():
     for token in ("0", "+3", "-0", "+0/7", "007/0010", "-12/4", "-5/1", "10/0003",
                   "123456789012345678901234567890/98765432109876543210"):
         text = f"# tricensus points v1\n{token} 1\n"
-        assert parse_points_text(text) == [P(Fraction(token), 1)], token
+        assert parse_points_text(text) == [(Fraction(token), 1)], token
 
 
 def test_parse_rejects_missing_header_and_bad_tokens():
@@ -417,7 +421,7 @@ def test_parse_rejects_missing_header_and_bad_tokens():
 
 
 def test_format_round_trip():
-    pts = [P(0, 0), P(-3, 7), P(Fraction(1, 2), Fraction(-9, 20))]
+    pts = [(0, 0), (-3, 7), (Fraction(1, 2), Fraction(-9, 20))]
     assert parse_points_text(format_points(pts)) == pts
 
 
@@ -444,16 +448,16 @@ def test_load_point_set_reads_rational_files(tmp_path):
 
 
 def test_in_convex_position():
-    assert len(convex_hull(integer_view([P(0, 0), P(4, -1), P(6, 2), P(3, 5), P(-1, 3)]))) == 5
-    assert len(convex_hull(integer_view([P(0, 0), P(4, 0), P(4, 4), P(0, 4), P(2, 2)]))) == 4
+    assert len(convex_hull(integer_view([(0, 0), (4, -1), (6, 2), (3, 5), (-1, 3)]))) == 5
+    assert len(convex_hull(integer_view([(0, 0), (4, 0), (4, 4), (0, 4), (2, 2)]))) == 4
 
 
 def test_point_coordinates_are_int_or_fraction_only():
-    assert P(Fraction(1, 2), -3) == P(Fraction(2, 4), Fraction(-3))
-    # the v1 file parser rejects both string forms, so the constructor does too
+    # the v1 file parser rejects both string forms, so the builders do too
     for x, y in (("1e-3", " 1/2 "), ("0.5", 1)):
-        with pytest.raises(TypeError, match="^coordinate must be int or Fraction, got str$"):
-            P(x, y)
+        for build in (PointSet.from_points, integer_view):
+            with pytest.raises(TypeError, match="^coordinate must be int or Fraction, got str$"):
+                build([(0, 0), (1, 0), (x, y)])
 
 
 def _count_views(monkeypatch):
@@ -479,7 +483,7 @@ def test_from_points_builds_one_integer_view(monkeypatch):
 
 def test_build_radial_frame_builds_one_integer_view(monkeypatch):
     calls = _count_views(monkeypatch)
-    center, *pts = (P(x, y) for x, y in ((0, 0), (5, 1), (-2, 7), (-6, -3), (3, -8)))
+    center, *pts = (0, 0), (5, 1), (-2, 7), (-6, -3), (3, -8)
     frame = charvec.build_radial_frame(center, pts)
     assert charvec.enumerate_good_polygons(frame) == [(0, 2, 3), (1, 2, 3), (0, 1, 2, 3)]
     assert charvec.polygon_charvec(frame, (0, 2, 3)) == (0, 1, 0, 0)
@@ -488,42 +492,39 @@ def test_build_radial_frame_builds_one_integer_view(monkeypatch):
 
 def test_build_angle_frame_builds_one_integer_view(monkeypatch):
     calls = _count_views(monkeypatch)
-    apex, left, right, *pts = (P(x, y) for x, y in ((0, 9), (-9, 0), (9, 0), (2, 3), (-3, 2), (0, 5)))
+    apex, left, right, *pts = (0, 9), (-9, 0), (9, 0), (2, 3), (-3, 2), (0, 5)
     frame = charvec.build_angle_frame(apex, left, right, pts)
     assert charvec.polyline_charvec(frame, (0, 2)) == (1, 0, 1)
     assert calls == [6]
 
 
-def _count_builds(monkeypatch):
-    """Count the Fractions and Points built through the package's names for them.
+def _count_fractions(monkeypatch):
+    """Count the Fractions built through the package's names for the type.
 
-    Each name becomes a stand-in type that counts its calls and passes
-    isinstance checks as the real type does.
+    Each such name becomes a stand-in type that counts its calls and passes
+    isinstance checks as Fraction does.
     """
     built = []
 
-    def counted(real):
-        class Meta(type):
-            def __call__(cls, *args):
-                built.append(real.__name__)
-                return real(*args)
+    class Meta(type):
+        def __call__(cls, *args):
+            built.append(args)
+            return Fraction(*args)
 
-            def __instancecheck__(cls, obj):
-                return isinstance(obj, real)
+        def __instancecheck__(cls, obj):
+            return isinstance(obj, Fraction)
 
-        return Meta(real.__name__, (), {})
-
+    counted = Meta("Fraction", (), {})
     for module in (geom, generators, charvec, closeness, triangulations, harness):
-        for real in (Fraction, Point):
-            if getattr(module, real.__name__, None) is real:
-                monkeypatch.setattr(module, real.__name__, counted(real))
+        if getattr(module, "Fraction", None) is Fraction:
+            monkeypatch.setattr(module, "Fraction", counted)
     return built
 
 
-def test_integer_paths_build_no_fraction_or_point(monkeypatch, tmp_path):
+def test_integer_paths_build_no_fraction(monkeypatch, tmp_path):
     path = tmp_path / "random.pts"
     path.write_text(format_points(gen_random(12, 64, seed=3).points))
-    built = _count_builds(monkeypatch)
+    built = _count_fractions(monkeypatch)
     sets = [load_point_set(path), gen_random(12, 64, seed=4), gen_double_circle(6),
             gen_quasi_convex(9, (0, 2, 5))]
     for k, ps in enumerate(sets):
@@ -531,8 +532,14 @@ def test_integer_paths_build_no_fraction_or_point(monkeypatch, tmp_path):
         classify(ps)
         verify_instance(ps)
         save_point_set(tmp_path / f"{k}.pts", ps)
+    angle, radial = gen_angle_frame(6, seed=1), gen_radial_frame(6, seed=1)
+    assert all(harness.run_suite_checks(0).values())
     assert built == []
     assert (tmp_path / "0.pts").read_text() == path.read_text()
-    # the stand-ins do count: reading the points builds them
+    # the frames keep the integer pairs they were given
+    frame_points = (angle.apex, angle.left_arm, angle.right_arm, *angle.interior,
+                    radial.center, *radial.points)
+    assert {type(c) for p in frame_points for c in p} == {int}
+    # the stand-in does count: reading the points builds them
     assert len(sets[0].points) == 12
-    assert built.count("Point") == 12 and built.count("Fraction") == 24
+    assert len(built) == 24

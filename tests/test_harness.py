@@ -15,7 +15,7 @@ from tricensus import charvec, harness, triangulations
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.cli import main
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, generate
-from tricensus.geom import PointSet, save_point_set
+from tricensus.geom import POINTS_HEADER, PointSet, save_point_set
 from tricensus.harness import (
     CorpusReport,
     RunConfig,
@@ -320,6 +320,18 @@ def test_cli_charvec_polyline(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "1 3 2"
     assert main(["charvec", str(target), "--apex", "0", "--arms", "1,2", "--chi", "0"]) == 0
     assert capsys.readouterr().out.strip() == "1 2"
+
+
+def test_cli_charvec_names_a_point_outside_the_angle_in_file_coordinates(tmp_path, capsys):
+    target = tmp_path / "dc8.pts"
+    ps = gen_double_circle(4)
+    save_point_set(target, ps)
+    sevenths = tmp_path / "dc8_7.pts"
+    sevenths.write_text(POINTS_HEADER + "\n" + "".join(f"{x}/7 {y}/7\n" for x, y in ps.xy))
+    for path, point in ((target, "(1952, -576)"), (sevenths, "(1952/7, -576/7)")):
+        assert main(["charvec", str(path), "--apex", "0", "--arms", "1,2", "--chi", "01001"]) == 1
+        assert capsys.readouterr() == (
+            "", f"tricensus: error: {point} is not strictly inside the angle\n")
 
 
 def test_cli_charvec_radial(tmp_path, capsys):

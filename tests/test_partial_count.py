@@ -18,7 +18,7 @@ from hypothesis import assume, given, settings, strategies as st
 from tricensus.catalan import polygon_triangulation_count
 from tricensus.closeness import classify
 from tricensus.generators import gen_double_circle, gen_quasi_convex, gen_random
-from tricensus.geom import Point, PointSet, general_position_violation, integer_view
+from tricensus.geom import PointSet, general_position_violation, integer_view
 from tricensus import triangulations
 from tricensus.triangulations import (
     _RegionTables,
@@ -39,13 +39,13 @@ def _segments_cross(tab, a, b, c, d):
 def _point_in_cycle(pts, tab, cycle, w):
     """Half-open crossing parity of a rightward ray from w."""
     inside = False
-    wy = pts[w].y
+    wy = pts[w][1]
     k = len(cycle)
     for m in range(k):
         u, v = cycle[m], cycle[(m + 1) % k]
-        if pts[u].y <= wy < pts[v].y and tab[u][v][w] > 0:
+        if pts[u][1] <= wy < pts[v][1] and tab[u][v][w] > 0:
             inside = not inside
-        elif pts[v].y <= wy < pts[u].y and tab[u][v][w] < 0:
+        elif pts[v][1] <= wy < pts[u][1] and tab[u][v][w] < 0:
             inside = not inside
     return inside
 
@@ -155,10 +155,10 @@ def test_equality_clause_on_larger_quasi_convex_sets():
 
 def _with_point_near_centroid(ps):
     pts = ps.points
-    cx, cy = sum(p.x for p in pts) / len(pts), sum(p.y for p in pts) / len(pts)
+    cx, cy = sum(x for x, _ in pts) / len(pts), sum(y for _, y in pts) / len(pts)
     for k in count():
         try:
-            return PointSet.from_points([*pts, Point(cx + Fraction(k, 101), cy + Fraction(k, 103))])
+            return PointSet.from_points([*pts, (cx + Fraction(k, 101), cy + Fraction(k, 103))])
         except ValueError:  # not in general position: step further off the centroid
             continue
 
@@ -190,7 +190,7 @@ def shared_y_point_sets(draw):
         st.lists(st.integers(-60, 60), min_size=1, max_size=2, unique=True),
         min_size=2, max_size=5))
     height = draw(st.integers(1, 9))
-    points = [Point(x, height * y) for y, xs in enumerate(rows) for x in xs]
+    points = [(x, height * y) for y, xs in enumerate(rows) for x in xs]
     assume(len(points) >= 4 and general_position_violation(integer_view(points)) is None)
     return PointSet.from_points(points)
 
@@ -207,13 +207,12 @@ def test_shared_y_coordinates(ps):
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=9,
                 unique=True),
        st.booleans(), st.booleans())
-def test_split_masks_describe_their_sub_regions(coords, required, canonical):
+def test_split_masks_describe_their_sub_regions(points, required, canonical):
     """Every sub-region reachable from the hull, as ``_region_splits`` hands
     it down: its inside mask holds exactly the interior points strictly
     inside its cycle, by crossing parity on the orientation table, and its
     edge mask holds exactly the cycle's directed edges.  On a small grid many
     points share an x or a y coordinate."""
-    points = [Point(x, y) for x, y in coords]
     assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     tab = ps.orient_table()

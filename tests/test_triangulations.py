@@ -15,7 +15,6 @@ from tricensus.cli import main
 from tricensus.errors import SizeCapError
 from tricensus.generators import GenSpec, gen_convex, gen_double_circle, gen_random, generate
 from tricensus.geom import (
-    Point,
     PointSet,
     general_position_violation,
     integer_view,
@@ -297,9 +296,8 @@ def test_full_count_never_below_hull_polygon_count(seed):
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=3, max_size=9,
                 unique=True),
        st.booleans())
-def test_crossing_table_holds_exactly_the_properly_crossing_edges(coords, canonical):
+def test_crossing_table_holds_exactly_the_properly_crossing_edges(points, canonical):
     """On a small grid many points share an x or a y coordinate."""
-    points = [Point(x, y) for x, y in coords]
     assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     tab = ps.orient_table()
@@ -316,10 +314,9 @@ def test_crossing_table_holds_exactly_the_properly_crossing_edges(coords, canoni
 @given(st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=3, max_size=9,
                 unique=True),
        st.booleans())
-def test_left_masks_follow_the_orientation_table(coords, canonical):
+def test_left_masks_follow_the_orientation_table(points, canonical):
     """The left masks, built from the integer view, hold exactly the points
     the orientation table puts strictly left of each directed line."""
-    points = [Point(x, y) for x, y in coords]
     assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
     n = len(points)
