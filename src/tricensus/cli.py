@@ -118,13 +118,13 @@ def _cmd_classify(args) -> int:
     if args.as_json:
         payload = {
             "is_quasi_convex": report.is_quasi_convex,
-            "assignment": {str(p): list(side) for p, side in sorted(report.assignment.items())},
-            "polygon_order": list(report.polygon_order) if report.polygon_order else None,
+            "assignment": {str(p): side for p, side in report.assignment.items()},
+            "polygon_order": report.polygon_order,
         }
         print(json.dumps(payload, sort_keys=True))
     else:
         print("quasi-convex" if report.is_quasi_convex else "not quasi-convex")
-        for p, side in sorted(report.assignment.items()):
+        for p, side in report.assignment.items():
             print(f"point {p} close to side {side[0]}-{side[1]}")
         if report.polygon_order:
             print("order: " + " ".join(map(str, report.polygon_order)))

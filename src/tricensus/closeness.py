@@ -74,23 +74,25 @@ class QuasiConvexReport:
 def classify(ps: PointSet) -> QuasiConvexReport:
     """Assign each interior point its first close hull side and assemble the report.
 
-    When the set is quasi-convex the report carries the quasi-convex polygon
-    order.  Sides are taken in hull order.  Each side's candidate is the
-    point turning least from q -> r seen from q; while it is interior and
+    Sides are taken in hull order.  Each side's candidate is the point
+    turning least from q -> r seen from q; while it is interior and
     unassigned, it is close exactly when no other point turns less from
-    r -> q seen from r, so every point gets its first close side.
+    r -> q seen from r, so every point gets its first close side.  The same
+    pass lays out the polygon order, each side's q followed by its close
+    point, and the report carries that order when the set is quasi-convex.
     """
-    sides = ps.hull_sides()
     hull, xy = ps.hull, ps.xy
+    h = len(hull)
     inner = [(i, *xy[i]) for i in ps.interior]
     found: dict[int, tuple[int, int]] = {}
-    by_side: dict[tuple[int, int], int] = {}
-    for j, side in enumerate(sides):
-        q, r = side
+    seq: list[int] = []
+    for j, q in enumerate(hull):
+        r = hull[(j + 1) % h]
+        seq.append(q)
         qx, qy = xy[q]
         # Seen from q the hull vertices turn ccw in hull order from r, so the
         # vertex after r is the only one that can turn less than an interior point.
-        after = hull[(j + 2) % len(hull)]
+        after = hull[(j + 2) % h]
         best = after
         bx, by = xy[after]
         for i, x, y in inner:
@@ -110,20 +112,10 @@ def classify(ps: PointSet) -> QuasiConvexReport:
             if ux * (y - ry) > uy * (x - rx):
                 break
         else:
-            found[best] = side
-            by_side[side] = best
-    assignment = dict(sorted(found.items()))
-
-    quasi = len(assignment) == len(ps.interior)
-    order = None
-    if quasi:
-        seq: list[int] = []
-        for side in sides:
-            seq.append(side[0])
-            if side in by_side:
-                seq.append(by_side[side])
-        order = tuple(seq)
-    return QuasiConvexReport(quasi, assignment, order)
+            found[best] = (q, r)
+            seq.append(best)
+    quasi = len(found) == len(inner)
+    return QuasiConvexReport(quasi, dict(sorted(found.items())), tuple(seq) if quasi else None)
 
 
 def close_via_neighbor_triangles(ps: PointSet, p: int) -> bool:

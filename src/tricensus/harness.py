@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 import json
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 from . import charvec, generators
 from .catalan import (
@@ -96,30 +96,32 @@ class RunConfig:
     jobs: int = 1
 
 
-@dataclass
+@dataclass(frozen=True)
 class CorpusReport:
+    """The verdicts of a run, in the order given, with the identity-suite
+    results when the run asked for them; ``summary`` is derived from both."""
     config: dict
     verdicts: list[InstanceVerdict]
-    summary: dict = field(default_factory=dict)
+    suite: dict | None = None
 
-    def finalize(self, suite: dict | None) -> None:
-        self.verdicts.sort(key=lambda v: v.instance_id)
+    @property
+    def summary(self) -> dict:
         checked = [v for v in self.verdicts if not v.skipped]
-        self.summary = {
+        return {
             "instances": len(self.verdicts),
             "checked": len(checked),
             "skipped": len(self.verdicts) - len(checked),
             "lower_bound_failures": sum(not v.lower_bound_ok for v in checked),
             "equality_iff_failures": sum(not v.equality_iff_ok for v in checked),
-            "suite": suite,
+            "suite": self.suite,
         }
 
     @property
     def all_passed(self) -> bool:
-        if self.summary["lower_bound_failures"] or self.summary["equality_iff_failures"]:
+        summary = self.summary
+        if summary["lower_bound_failures"] or summary["equality_iff_failures"]:
             return False
-        suite = self.summary.get("suite")
-        return suite is None or all(suite.values())
+        return self.suite is None or all(self.suite.values())
 
     def to_jsonl(self) -> str:
         lines = []
@@ -205,7 +207,6 @@ def run_corpus(cfg: RunConfig) -> CorpusReport:
     else:
         verdicts = list(map(verify_instance, point_sets, ids, caps))
 
+    verdicts.sort(key=lambda v: v.instance_id)
     suite = run_suite_checks(cfg.seed) if cfg.full_suite else None
-    report = CorpusReport(config=asdict(cfg), verdicts=verdicts)
-    report.finalize(suite)
-    return report
+    return CorpusReport(asdict(cfg), verdicts, suite)

@@ -1,6 +1,6 @@
 from bisect import bisect_left
 from fractions import Fraction
-from functools import cmp_to_key
+from functools import cache, cmp_to_key
 from itertools import combinations, count, permutations
 
 import pytest
@@ -273,12 +273,17 @@ def test_angle_frames_on_rational_grids_match_fraction_oracles(angle, points):
     # left to right: each point turns from the left arm less than every later one
     assert all(orient(apex, u, v) == s for u, v in combinations(frame.interior, 2))
     nodes = (left, *frame.interior, right)  # chain node e is nodes[e + 1]
+
+    @cache  # the polylines below ask again for crossings this loop has checked
+    def crosses(i, u, v):
+        """apex--P_i properly crosses the chord between chain nodes u and v."""
+        return segments_properly_cross(apex, frame.interior[i], nodes[u + 1], nodes[v + 1])
+
     # bit i of the chord u--v mask, u < i < v, is the proper crossing of apex--P_i
     for u, v in combinations(range(-1, n + 1), 2):
         mask = frame.beyond[u + 1][v + 1]
         for i in range(u + 1, v):
-            hit = segments_properly_cross(apex, frame.interior[i], nodes[u + 1], nodes[v + 1])
-            assert (mask >> i) & 1 == hit
+            assert (mask >> i) & 1 == crosses(i, u, v)
         assert mask >> v == 0 and mask & ((1 << (u + 1)) - 1) == 0
     shrunk = build_angle_frame(_seventh(apex), _seventh(left), _seventh(right), map(_seventh, pts))
     assert shrunk.interior == tuple(map(_seventh, frame.interior))
@@ -291,8 +296,7 @@ def test_angle_frames_on_rational_grids_match_fraction_oracles(angle, points):
                 a, b = chain[pos - 1], chain[pos + 1]
             else:
                 a, b = max(c for c in chain if c < k), min(c for c in chain if c > k)
-            crosses = segments_properly_cross(apex, frame.interior[k], nodes[a + 1], nodes[b + 1])
-            expected.append(int(crosses) ^ (k in polyline))
+            expected.append(int(crosses(k, a, b)) ^ (k in polyline))
         vec = polyline_charvec(frame, polyline)
         assert vec == tuple(expected) == polyline_charvec(shrunk, polyline)
         assert polyline_from_charvec(frame, vec) == polyline_from_charvec(shrunk, vec) == polyline
@@ -330,6 +334,7 @@ def test_radial_frames_on_rational_grids_match_fraction_oracles(center, points):
     assert (shrunk.reference, shrunk.points) == (frame.reference, tuple(map(_seventh, ring)))
     assert enumerate_good_polygons(shrunk) == good
 
+    @cache  # the polygons below ask again for cones the chord loop has checked
     def in_cone(i, a, b):
         """The center lies strictly inside the cone at P_i spanned by P_a and P_b."""
         p, u, v = ring[i], ring[a], ring[b]

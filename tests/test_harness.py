@@ -199,8 +199,27 @@ def test_report_runtimes_follow_the_config_timings_flag():
     verdict = dataclasses.replace(verdict, runtime_ms=7)
     for timings, runtime in ((False, 0), (True, 7)):
         report = CorpusReport(config={"timings": timings}, verdicts=[verdict])
-        report.finalize(None)
         assert json.loads(report.to_jsonl().split("\n")[0])["runtime_ms"] == runtime
+
+
+def test_report_built_by_hand_is_whole():
+    """A report derives its summary and verdict from the verdicts and the
+    suite it is built with, with no further call."""
+    passing = verify_instance(gen_convex(5, 64, seed=1), "a")
+    failing = dataclasses.replace(passing, instance_id="b", lower_bound_ok=False)
+    skipped = verify_instance(gen_convex(6, 64, seed=1), "c", cap=5)
+    suite = {"recurrence_n_le_30": True, "charvec_bijection": False}
+    report = CorpusReport({"timings": False}, [passing, failing, skipped], suite)
+    summary = {"instances": 3, "checked": 2, "skipped": 1, "lower_bound_failures": 1,
+               "equality_iff_failures": 0, "suite": suite}
+    assert report.summary == summary
+    assert report.all_passed is False
+    lines = report.to_jsonl().strip().split("\n")
+    assert [json.loads(line)["instance_id"] for line in lines[:-1]] == ["a", "b", "c"]
+    assert json.loads(lines[-1]) == {"config": {"timings": False}, "summary": summary}
+    # a failing suite fails a run whose verdicts all pass
+    assert CorpusReport({}, [passing], suite).all_passed is False
+    assert CorpusReport({}, [passing], {"charvec_bijection": True}).all_passed is True
 
 
 def test_run_corpus_parallel_matches_serial():
