@@ -58,7 +58,10 @@ bitmasks of the points left of each directed pair, so that a triangle's
 interior is three ANDs; per-segment masks of the directed edges that
 properly cross it, ANDed with a region's edge mask; and, from integer (y, x)
 heights, the points whose rightward ray crosses each segment, so that the
-points inside a sub-polygon are a crossing-parity XOR over its edges.
+points inside a sub-polygon are a crossing-parity XOR over its edges.  The
+crossing masks are assembled from the left masks laid out in n-bit blocks,
+one block per point, about ten big-int operations per segment and no loop
+over the points.
 Ordering heights by (y, x) instead of y is a consistent symbolic tie-break
 (an infinitesimal shear, which changes no orientation), so points sharing a
 y coordinate need no special case.  The positive scale of ``ps.xy`` keeps
@@ -156,18 +159,21 @@ class _RegionTables:
         edge_bit = [[1 << (u * n + w) for w in range(n)] for u in range(n)]
         # cross[p][q]: the directed edges (c, d) that properly cross segment pq:
         # d lies on the other side of pq than c, and left of exactly one of
-        # p -> c and q -> c, so p and q lie on opposite sides of cd
+        # p -> c and q -> c, so p and q lie on opposite sides of cd.  Block c
+        # (bits c*n to c*n + n - 1) of row[p] is left[p][c] and of col[p] is
+        # left[c][p]; every left mask is below 2^n, so no block carries into the
+        # next.  (col[q] >> p) & ones has bit c*n exactly when c is left of
+        # q -> p, and multiplying by left[p][q] puts that mask in those blocks
+        shifts = range(0, n * n, n)
+        ones = sum(1 << s for s in shifts)
+        row = [sum(m << s for m, s in zip(left_p, shifts)) for left_p in left]
+        col = [sum(left_c[p] << s for left_c, s in zip(left, shifts)) for p in range(n)]
         cross = [[0] * n for _ in range(n)]
         for p in range(n):
-            left_p = left[p]
+            left_p, row_p, col_p = left[p], row[p], col[p]
             for q in range(p + 1, n):
-                left_q = left[q]
-                left_pq, left_qp = left_p[q], left_q[p]
-                mask = 0
-                for c in range(n):
-                    side = left_pq if left_qp >> c & 1 else left_qp if left_pq >> c & 1 else 0
-                    mask |= (side & (left_p[c] ^ left_q[c])) << c * n
-                cross[p][q] = cross[q][p] = mask
+                side = left_p[q] * (col[q] >> p & ones) | left[q][p] * (col_p >> q & ones)
+                cross[p][q] = cross[q][p] = side & (row_p ^ row[q])
         # ray[u][v]: the ranks whose rightward ray crosses segment uv; a point
         # is level with a segment when its (y, x) height lies strictly between
         # the heights of the endpoints
@@ -184,6 +190,7 @@ class _RegionTables:
                 if height[u] < height[v]:
                     ray[u][v] = ray[v][u] = (below[height[v]] ^ below[height[u] + 1]) & left[u][v]
         self.rank = rank
+        self.full = (1 << n) - 1
         self.left = left
         self.edge_bit = edge_bit
         self.cross = cross
@@ -240,10 +247,20 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: i
     triangle of the region.
 
     The anchor edge is (cyc[0], cyc[1]), ``inside`` is the mask of the points
-    strictly inside the cycle and ``edges`` is the cycle's edge mask.  In
-    required mode the anchor triangle may contain none of the inside points;
-    in optional mode it may, and they are left unused.  Apexes come in the
-    order cyc[2:], then inside points by ascending rank.
+    strictly inside the cycle and ``edges`` is the cycle's edge mask.  An
+    apex v left of a -> b is valid when neither av nor bv properly crosses a
+    cycle edge and no blocker lies strictly inside the triangle.  In required
+    mode the blockers are the boundary vertices and the inside points, so the
+    triangle may contain no point of the region.  In optional mode the
+    triangle may contain inside points, which are left unused, and the
+    blockers are every point not inside the region, ``t.full ^ inside``, with
+    no scan of the cycle.  That admits the same apexes as blocking the
+    boundary vertices alone: a triangle on a boundary edge that holds no
+    boundary vertex and whose sides cross no boundary edge lies within the
+    region, so it holds no point outside it.  Required mode scans the cycle,
+    because a listing shares one set of tables across interior subsets, so
+    the points a region leaves out are not all outside it.  Apexes come in
+    the order cyc[2:], then inside points by ascending rank.
 
     A boundary apex cyc[j] splits the region into sub-region 1, on the cycle
     cyc[1:j + 1], and sub-region 2, on the cycle cyc[j:] + (cyc[0],), whose
@@ -256,10 +273,12 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: i
     """
     left, ray, cross, edge_bit = t.left, t.ray, t.cross, t.edge_bit
     a, b = cyc[0], cyc[1]
-    verts = 0
-    for u in cyc:
-        verts |= 1 << u
-    blockers = verts | inside if required else verts
+    if required:
+        blockers = inside
+        for u in cyc:
+            blockers |= 1 << u
+    else:
+        blockers = t.full ^ inside
     left_ab, left_b, cross_a, cross_b, bit_a = left[a][b], left[b], cross[a], cross[b], edge_bit[a]
     ray_b = ray[b]
     # pre: the edges of the cycle from a up to the apex v = cyc[j]; par: the

@@ -74,6 +74,22 @@ MUTANTS = (
            "    return True\n",
            ("tests/test_charvec.py", "tests/test_harness.py"),
            "frame_bijection_holds is always True, so a broken charvec map passes"),
+    Mutant("triangulations.py",
+           "blockers = t.full ^ inside",
+           "blockers = t.full",
+           ("tests/test_partial_count.py",),
+           "optional mode blocks every inside point too, so no partial triangulation "
+           "skips a point"),
+    Mutant("triangulations.py",
+           "side & (row_p ^ row[q])",
+           "side & (row_p | row[q])",
+           ("tests/test_triangulations.py",),
+           "an edge cd counts as crossing pq when p and q lie on the same side of cd"),
+    Mutant("triangulations.py",
+           "left_p[q] * (col[q] >> p & ones) | left[q][p] * (col_p >> q & ones)",
+           "left_p[q] * (col_p >> q & ones) | left[q][p] * (col[q] >> p & ones)",
+           ("tests/test_triangulations.py",),
+           "the crossing test takes d from the same side of pq as c"),
 )
 
 

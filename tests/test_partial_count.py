@@ -229,18 +229,32 @@ def test_split_masks_describe_their_sub_regions(points, required, canonical):
         k = len(cycle)
         assert edges == sum(1 << (cycle[m] * n + cycle[(m + 1) % k]) for m in range(k)), cycle
 
+    walked = 0
+    for cycle, inside, edges, _ in _walk_regions(t, ps, required):
+        check(cycle, inside, edges)
+        walked += 1
+    assert walked
+
+
+def _walk_regions(t, ps, required):
+    """Every region reachable from the hull, as ``_region_splits`` hands it
+    down, repeats included: (cycle, inside, edges, splits).  The first time an
+    edge mask is handed down, its cycle is anchor-rotated and ``splits`` is
+    the list of its splits, which the walk follows; a repeat and an empty
+    triangle, which is never split, have ``splits`` None."""
     seen = set()
     todo = [t.region(ps.hull, ps.interior)]
     while todo:
         cycle, inside, edges = todo.pop()
-        check(cycle, inside, edges)
         if edges in seen or (len(cycle) == 3 and not inside):
+            yield cycle, inside, edges, None
             continue
         seen.add(edges)
         cyc = _anchor_rotation(cycle)
         a, k = cyc[0], len(cyc)
-        for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges,
-                                                                     required):
+        splits = list(_region_splits(t, cyc, inside, edges, required))
+        yield cyc, inside, edges, splits
+        for v, j, inside1, edges1, inside2, edges2 in splits:
             if not j:
                 todo.append((cyc[1:] + (a, v), inside1, edges1))
                 continue
@@ -248,7 +262,59 @@ def test_split_masks_describe_their_sub_regions(points, required, canonical):
                 todo.append((cyc[1:j + 1], inside1, edges1))
             if j < k - 1:
                 todo.append((cyc[j:] + (a,), inside2, edges2))
-    assert seen
+
+
+def _check_apexes_by_oracle(ps, order, required):
+    """Every reachable region of ``ps``, ranked by ``order``, splits at exactly
+    the apexes v left of its anchor edge a -> b whose triangle (a, b, v) holds
+    no blocker strictly inside and whose sides av and bv properly cross no
+    cycle edge, in the order cyc[2:], then inside points by rank.  A blocker
+    is a boundary vertex, or, in required mode, an inside point.  The test
+    reads the orientation table, re-indexed by rank, and not the engine's
+    masks."""
+    tab = ps.orient_table()
+    n = len(ps.xy)
+    t = _RegionTables(ps, order)
+    index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
+    rt = [[[tab[index[u]][index[v]][index[w]] for w in range(n)] for v in range(n)]
+          for u in range(n)]
+    walked = 0
+    for cyc, inside, _, splits in _walk_regions(t, ps, required):
+        if splits is None:
+            continue
+        walked += 1
+        a, b, k = cyc[0], cyc[1], len(cyc)
+        inside_ranks = [r for r in range(n) if inside >> r & 1]
+        cycle_edges = [(cyc[m], cyc[(m + 1) % k]) for m in range(k)]
+        blockers = list(cyc) + (inside_ranks if required else [])
+        want = [v for v in list(cyc[2:]) + inside_ranks
+                if rt[a][b][v] > 0
+                and not any(rt[a][b][w] > 0 and rt[b][v][w] > 0 and rt[v][a][w] > 0
+                            for w in blockers)
+                and not any(_segments_cross(rt, a, v, p, q) or _segments_cross(rt, b, v, p, q)
+                            for p, q in cycle_edges)]
+        assert [split[0] for split in splits] == want, (cyc, inside, required)
+    assert walked
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=9,
+                unique=True),
+       st.booleans(), st.booleans())
+def test_splits_take_exactly_the_valid_apexes(points, required, canonical):
+    """On a small grid many points share an x or a y coordinate."""
+    assume(general_position_violation(integer_view(points)) is None)
+    ps = PointSet.from_points(points)
+    _check_apexes_by_oracle(ps, _canonical_order(ps) if canonical else range(len(points)), required)
+
+
+def test_splits_take_exactly_the_valid_apexes_on_seeded_sets():
+    sets = [gen_random(n, 256, seed=9500 + n) for n in range(4, 13)]
+    sets += [gen_double_circle(6), gen_quasi_convex(8, (0, 1, 3, 6))]
+    for ps in sets:
+        for order in (_canonical_order(ps), range(len(ps.xy))):
+            for required in (False, True):
+                _check_apexes_by_oracle(ps, order, required)
 
 
 def _states(count, ps, monkeypatch):
@@ -303,6 +369,10 @@ def test_counts_and_states_are_pinned(monkeypatch):
     for (n, seed), want in pinned.items():
         assert _states(count_partial, gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
     assert _states(count_partial, gen_double_circle(6), monkeypatch) == (16796, 304)
+    # 24 points, where the n-bit blocks of the crossing masks are widest
+    assert _states(count_partial, gen_double_circle(12), monkeypatch) == (91482563640, 27847)
+    assert _states(count_partial, gen_quasi_convex(16, range(0, 16, 2)),
+                   monkeypatch) == (91482563640, 9985)
     # a bare triangle is one split with two bare sides: one state
     bare = PointSet.from_points([(0, 0), (6, 0), (0, 6)])
     assert _states(count_partial, bare, monkeypatch) == (1, 1)

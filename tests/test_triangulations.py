@@ -300,14 +300,28 @@ def test_crossing_table_holds_exactly_the_properly_crossing_edges(points, canoni
     """On a small grid many points share an x or a y coordinate."""
     assume(general_position_violation(integer_view(points)) is None)
     ps = PointSet.from_points(points)
+    _check_crossing_table(ps, _canonical_order(ps) if canonical else range(len(points)))
+
+
+def test_crossing_table_on_seeded_sets_of_up_to_24_points():
+    """The sizes the hypothesis test above never draws, where the n-bit
+    blocks the crossing masks are assembled from are widest."""
+    for ps in [gen_random(n, 256, seed=n) for n in range(10, 25)] + [gen_double_circle(12)]:
+        _check_crossing_table(ps, _canonical_order(ps))
+        _check_crossing_table(ps, range(len(ps.xy)))
+
+
+def _check_crossing_table(ps, order):
+    """Each segment's crossing mask, in ``order``, holds exactly the directed
+    edges that the orientation table says properly cross it."""
     tab = ps.orient_table()
-    n = len(points)
-    t = _RegionTables(ps, _canonical_order(ps) if canonical else range(n))
+    n = len(ps.xy)
+    t = _RegionTables(ps, order)
     index = sorted(range(n), key=t.rank.__getitem__)  # index[r]: the point of rank r
     for p, q in combinations(range(n), 2):
         want = sum(1 << (c * n + d) for c in range(n) for d in range(n)
                    if _segments_cross(tab, index[p], index[q], index[c], index[d]))
-        assert t.cross[p][q] == t.cross[q][p] == want, (p, q)
+        assert t.cross[p][q] == t.cross[q][p] == want, (n, p, q)
 
 
 @settings(max_examples=60, deadline=None)
