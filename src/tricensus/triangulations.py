@@ -31,20 +31,27 @@ The listing text has one line per triangulation: its triangles in ascending
 order, separated by single spaces, each written as its ascending index
 triple "a,b,c".
 
-The recursion has two modes:
+The anchor triangle on a region's edge a -> b is valid at an apex v left of
+a -> b when neither av nor bv crosses a boundary edge and no point of a
+blocker mask lies strictly inside it.  The one rule for that mask: it holds
+every boundary vertex of the region and, of the points inside the region,
+exactly those the triangle may not cover; what it says of points outside the
+region does not matter, because a triangle on the anchor edge that holds no
+boundary vertex and whose sides cross no boundary edge lies within the
+region.  The inside points a valid triangle covers are left unused.  Each
+caller passes its mask:
 
-- *required*: every inside point must be used, so the anchor triangle must
-  contain no point of the region.  ``count_full`` and the enumerators use
-  it.  The triangulations of conv(M) that use exactly the vertex set S are
-  the full triangulations of the point set S.
-- *optional*: inside points may be skipped, so the anchor triangle must
-  contain no boundary vertex, and the inside points it does contain are left
-  unused.  ``count_partial`` is one optional-mode recursion with every
-  interior point inside the hull.
+- ``count_full`` blocks every point: all inside points are used.
+- ``count_partial`` blocks every point not inside the region, one XOR of its
+  inside mask, so inside points may be skipped; it is one recursion with
+  every interior point inside the hull.
+- A listing of the triangulations on vertex set S blocks the points of S.
+  These are the full triangulations of the point set S; an interior point
+  left out of S may lie inside one of its regions, and does not block.
 
-In both modes the points inside a region follow from its boundary cycle, so
-one memo per call serves the whole count.  Its key is the region's edge
-mask, one bit per directed boundary edge: a counter-clockwise cycle is
+Whatever the mask, the points inside a region follow from its boundary
+cycle, so one memo per call serves the whole count.  Its key is the region's
+edge mask, one bit per directed boundary edge: a counter-clockwise cycle is
 determined by its edge set, so the mask names the cycle whatever vertex it
 starts at.  Each split derives its sub-regions' edge and inside masks from
 the parent's in O(1), from running prefixes along the cycle, and hands them
@@ -242,25 +249,20 @@ def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
 
 
 def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: int,
-                   required: bool):
+                   blockers: int):
     """Yield (apex, j, inside1, edges1, inside2, edges2) for every valid anchor
     triangle of the region.
 
     The anchor edge is (cyc[0], cyc[1]), ``inside`` is the mask of the points
     strictly inside the cycle and ``edges`` is the cycle's edge mask.  An
-    apex v left of a -> b is valid when neither av nor bv properly crosses a
-    cycle edge and no blocker lies strictly inside the triangle.  In required
-    mode the blockers are the boundary vertices and the inside points, so the
-    triangle may contain no point of the region.  In optional mode the
-    triangle may contain inside points, which are left unused, and the
-    blockers are every point not inside the region, ``t.full ^ inside``, with
-    no scan of the cycle.  That admits the same apexes as blocking the
-    boundary vertices alone: a triangle on a boundary edge that holds no
-    boundary vertex and whose sides cross no boundary edge lies within the
-    region, so it holds no point outside it.  Required mode scans the cycle,
-    because a listing shares one set of tables across interior subsets, so
-    the points a region leaves out are not all outside it.  Apexes come in
-    the order cyc[2:], then inside points by ascending rank.
+    apex v left of a -> b is valid when no point of ``blockers`` lies
+    strictly inside the triangle and neither av nor bv properly crosses a
+    cycle edge.  ``blockers`` holds every boundary vertex and, of the inside
+    points, exactly those the triangle may not cover; its bits for points
+    outside the region are never read, since a valid triangle lies within the
+    region.  The inside points the triangle covers are left out of its
+    sub-regions.  Apexes come in the order cyc[2:], then inside points by
+    ascending rank.
 
     A boundary apex cyc[j] splits the region into sub-region 1, on the cycle
     cyc[1:j + 1], and sub-region 2, on the cycle cyc[j:] + (cyc[0],), whose
@@ -273,12 +275,6 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: i
     """
     left, ray, cross, edge_bit = t.left, t.ray, t.cross, t.edge_bit
     a, b = cyc[0], cyc[1]
-    if required:
-        blockers = inside
-        for u in cyc:
-            blockers |= 1 << u
-    else:
-        blockers = t.full ^ inside
     left_ab, left_b, cross_a, cross_b, bit_a = left[a][b], left[b], cross[a], cross[b], edge_bit[a]
     ray_b = ray[b]
     # pre: the edges of the cycle from a up to the apex v = cyc[j]; par: the
@@ -315,7 +311,10 @@ def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: i
 def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edges: int,
                   required: bool, memo) -> int:
     """The number of triangulations of a region that is not in ``memo`` yet;
-    the count is stored there under ``edges``.
+    the count is stored there under ``edges``.  With ``required`` every point
+    blocks the anchor triangle, so every inside point is used; without it the
+    blockers are the points not inside the region, so inside points may be
+    skipped.
 
     A sub-region that is a bare edge or an empty triangle counts 1 and is
     never looked up, recursed into or stored as a state.  A top-level empty
@@ -326,7 +325,8 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
     a = cyc[0]
     k = len(cyc)
     total = 0
-    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, required):
+    blockers = t.full if required else t.full ^ inside
+    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, blockers):
         # a boundary apex leaves sub-cycles of j and k - j + 1 vertices
         c1 = c2 = 1
         if not j or inside1 or j > 3:
@@ -344,9 +344,13 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
 
 
 def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ...], inside: int,
-                      edges: int, memo) -> tuple:
-    """Every triangulation of a region that is not in ``memo`` yet, in required
-    mode; the listing is stored there under ``edges``.
+                      edges: int, keep: int, memo) -> tuple:
+    """Every triangulation that uses all the inside points of a region that
+    is not in ``memo`` yet; the listing is stored there under ``edges``.
+
+    ``keep`` is the mask of the listing's vertex set and the blocker mask of
+    every split: an anchor triangle covers no point of the set, and an
+    interior point left out of the set never blocks, even inside the region.
 
     ``t`` is in the identity order, so point ranks are the indices a listing
     prints, and ``triangle`` is the rank table of ``_triangle_table(n)``.  Each
@@ -363,18 +367,19 @@ def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ..
     triangle_ab = triangle[a][b]
     k = len(cyc)
     out = []
-    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, True):
+    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, keep):
         tri = (triangle_ab[v],)
         parts1 = parts2 = ((),)
         if j != 2:
             parts1 = memo.get(edges1)
             if parts1 is None:
                 parts1 = _enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a, v),
-                                           inside1, edges1, memo)
+                                           inside1, edges1, keep, memo)
         if 0 < j < k - 1:
             parts2 = memo.get(edges2)
             if parts2 is None:
-                parts2 = _enumerate_region(t, triangle, cyc[j:] + (a,), inside2, edges2, memo)
+                parts2 = _enumerate_region(t, triangle, cyc[j:] + (a,), inside2, edges2, keep,
+                                           memo)
         # tri + () is tri itself, so a bare side builds no extra tuple
         out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
     result = tuple(out)
@@ -392,13 +397,15 @@ def _check_subset(ps: PointSet, vertex_subset) -> frozenset[int]:
 
 
 def count_full(ps: PointSet) -> int:
-    """Number of full triangulations: one required-mode region recursion."""
+    """Number of full triangulations: one region recursion in which every
+    point blocks the anchor triangle."""
     t = _RegionTables(ps, _canonical_order(ps))
     return _count_region(t, *t.region(ps.hull, ps.interior), True, {})
 
 
 def count_partial(ps: PointSet) -> int:
-    """Number of partial triangulations: one optional-mode region recursion."""
+    """Number of partial triangulations: one region recursion in which only
+    the points not inside a region block its anchor triangle."""
     t = _RegionTables(ps, _canonical_order(ps))
     return _count_region(t, *t.region(ps.hull, ps.interior), False, {})
 
@@ -441,8 +448,10 @@ class Listing:
 
 
 def _listing(ps: PointSet, interior_sets) -> Listing:
-    """Required-mode listings of the hull plus each set of interior points, in
-    turn; refused before any table is built when ``ps`` exceeds the size cap."""
+    """Listings of the full triangulations of each vertex set, the hull plus
+    each set of interior points in turn, each blocking its vertex set's
+    points; refused before any table is built when ``ps`` exceeds the size
+    cap."""
     n = len(ps.xy)
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
@@ -451,8 +460,13 @@ def _listing(ps: PointSet, interior_sets) -> Listing:
     t = _RegionTables(ps, range(n))
     rank, triangles = _triangle_table(n)
     hull = frozenset(ps.hull)
-    return Listing([(hull | extra, _enumerate_region(t, rank, *t.region(ps.hull, extra), {}))
-                    for extra in interior_sets], triangles)
+    parts = []
+    for extra in interior_sets:
+        sub = hull | extra
+        # the vertex set's mask: in the identity order a point's rank is its index
+        keep = sum(1 << i for i in sub)
+        parts.append((sub, _enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {})))
+    return Listing(parts, triangles)
 
 
 def enumerate_full(ps: PointSet) -> Listing:
@@ -461,8 +475,8 @@ def enumerate_full(ps: PointSet) -> Listing:
 
 
 def enumerate_partial(ps: PointSet) -> Listing:
-    """All partial triangulations: required-mode listings of the interior
-    subsets, iterated in Gray-code order; refuses sets above the size cap."""
+    """All partial triangulations: the listings of the hull plus each interior
+    subset, iterated in Gray-code order; refuses sets above the size cap."""
     interior = ps.interior
     m = len(interior)
     gray = (u ^ u >> 1 for u in range(1 << m))

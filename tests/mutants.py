@@ -75,11 +75,34 @@ MUTANTS = (
            ("tests/test_charvec.py", "tests/test_harness.py"),
            "frame_bijection_holds is always True, so a broken charvec map passes"),
     Mutant("triangulations.py",
-           "blockers = t.full ^ inside",
+           "blockers = t.full if required else t.full ^ inside",
            "blockers = t.full",
            ("tests/test_partial_count.py",),
            "optional mode blocks every inside point too, so no partial triangulation "
            "skips a point"),
+    Mutant("triangulations.py",
+           "blockers = t.full if required else t.full ^ inside",
+           "blockers = t.full ^ inside",
+           ("tests/test_partial_count.py",),
+           "required mode lets the anchor triangle cover inside points, so full counts "
+           "include triangulations that skip a point"),
+    Mutant("triangulations.py",
+           "_enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {})",
+           "_enumerate_region(t, rank, *t.region(ps.hull, extra), t.full, {})",
+           ("tests/test_triangulations.py",),
+           "a listing blocks the interior points left out of its vertex set, so it drops "
+           "triangles that cover them"),
+    Mutant("triangulations.py",
+           "if boundary[i - 1] < boundary[(i + 1) % len(boundary)]:",
+           "if boundary[i - 1] > boundary[(i + 1) % len(boundary)]:",
+           ("tests/test_partial_count.py", "tests/test_triangulations.py"),
+           "the anchor is the smallest rank's edge to its larger neighbour, so the "
+           "anchors, the apex order and the states change"),
+    Mutant("triangulations.py",
+           "    if n > ENUMERATION_CAP:\n",
+           "    _RegionTables(ps, range(n))\n    if n > ENUMERATION_CAP:\n",
+           ("tests/test_triangulations.py",),
+           "a listing builds its region tables before it checks the size cap"),
     Mutant("triangulations.py",
            "side & (row_p ^ row[q])",
            "side & (row_p | row[q])",

@@ -236,14 +236,23 @@ def test_split_masks_describe_their_sub_regions(points, required, canonical):
     assert walked
 
 
-def _walk_regions(t, ps, required):
+def _walk_regions(t, ps, required, extra=None):
     """Every region reachable from the hull, as ``_region_splits`` hands it
-    down, repeats included: (cycle, inside, edges, splits).  The first time an
-    edge mask is handed down, its cycle is anchor-rotated and ``splits`` is
-    the list of its splits, which the walk follows; a repeat and an empty
-    triangle, which is never split, have ``splits`` None."""
+    down, repeats included: (cycle, inside, edges, splits).  The walk passes
+    the blocker masks of ``count_full`` (``required``) or ``count_partial``,
+    with every interior point inside the hull; given ``extra``, in required
+    mode, it passes the mask of the listing of the hull plus ``extra``, with
+    only ``extra`` inside.  The first time an edge mask is handed down, its
+    cycle is anchor-rotated and ``splits`` is the list of its splits, which
+    the walk follows; a repeat and an empty triangle, which is never split,
+    have ``splits`` None."""
+    if extra is None:
+        todo = [t.region(ps.hull, ps.interior)]
+        keep = t.full
+    else:
+        todo = [t.region(ps.hull, extra)]
+        keep = sum(1 << t.rank[i] for i in (*ps.hull, *extra))
     seen = set()
-    todo = [t.region(ps.hull, ps.interior)]
     while todo:
         cycle, inside, edges = todo.pop()
         if edges in seen or (len(cycle) == 3 and not inside):
@@ -252,7 +261,8 @@ def _walk_regions(t, ps, required):
         seen.add(edges)
         cyc = _anchor_rotation(cycle)
         a, k = cyc[0], len(cyc)
-        splits = list(_region_splits(t, cyc, inside, edges, required))
+        blockers = keep if required else t.full ^ inside
+        splits = list(_region_splits(t, cyc, inside, edges, blockers))
         yield cyc, inside, edges, splits
         for v, j, inside1, edges1, inside2, edges2 in splits:
             if not j:
@@ -264,14 +274,17 @@ def _walk_regions(t, ps, required):
                 todo.append((cyc[j:] + (a,), inside2, edges2))
 
 
-def _check_apexes_by_oracle(ps, order, required):
+def _check_apexes_by_oracle(ps, order, required, extra=None):
     """Every reachable region of ``ps``, ranked by ``order``, splits at exactly
     the apexes v left of its anchor edge a -> b whose triangle (a, b, v) holds
     no blocker strictly inside and whose sides av and bv properly cross no
     cycle edge, in the order cyc[2:], then inside points by rank.  A blocker
-    is a boundary vertex, or, in required mode, an inside point.  The test
-    reads the orientation table, re-indexed by rank, and not the engine's
-    masks."""
+    is a boundary vertex, or, in required mode, an inside point.  Given
+    ``extra``, in required mode, the regions are those of the listing of the
+    hull plus ``extra``: an interior point left out of ``extra`` is in no
+    region's inside points, so it never blocks, even where it lies in the
+    triangle.  The test reads the orientation table, re-indexed by rank, and
+    not the engine's masks."""
     tab = ps.orient_table()
     n = len(ps.xy)
     t = _RegionTables(ps, order)
@@ -279,7 +292,7 @@ def _check_apexes_by_oracle(ps, order, required):
     rt = [[[tab[index[u]][index[v]][index[w]] for w in range(n)] for v in range(n)]
           for u in range(n)]
     walked = 0
-    for cyc, inside, _, splits in _walk_regions(t, ps, required):
+    for cyc, inside, _, splits in _walk_regions(t, ps, required, extra):
         if splits is None:
             continue
         walked += 1
@@ -293,8 +306,9 @@ def _check_apexes_by_oracle(ps, order, required):
                             for w in blockers)
                 and not any(_segments_cross(rt, a, v, p, q) or _segments_cross(rt, b, v, p, q)
                             for p, q in cycle_edges)]
-        assert [split[0] for split in splits] == want, (cyc, inside, required)
-    assert walked
+        assert [split[0] for split in splits] == want, (cyc, inside, required, extra)
+    # only a listing of a bare hull triangle has no region to split
+    assert walked or (extra == () and len(ps.hull) == 3)
 
 
 @settings(max_examples=60, deadline=None)
@@ -315,6 +329,18 @@ def test_splits_take_exactly_the_valid_apexes_on_seeded_sets():
         for order in (_canonical_order(ps), range(len(ps.xy))):
             for required in (False, True):
                 _check_apexes_by_oracle(ps, order, required)
+
+
+def test_listing_splits_take_exactly_the_valid_apexes_on_seeded_sets():
+    """Every interior subset's listing, in the identity order the listings
+    use: an interior point left out of the subset may lie in an anchor
+    triangle without blocking it."""
+    sets = [gen_random(n, 256, seed=9600 + n) for n in range(5, 11)]
+    sets += [gen_double_circle(4), gen_quasi_convex(8, (0, 1, 3, 6))]
+    for ps in sets:
+        for r in range(len(ps.interior) + 1):
+            for extra in combinations(ps.interior, r):
+                _check_apexes_by_oracle(ps, range(len(ps.xy)), True, extra)
 
 
 def _states(count, ps, monkeypatch):
@@ -393,3 +419,7 @@ def test_required_counts_and_states_are_pinned(monkeypatch):
     for (n, seed), want in pinned.items():
         assert _states(count_full, gen_random(n, 256, seed), monkeypatch) == want, (n, seed)
     assert _states(count_full, gen_double_circle(6), monkeypatch) == (2236, 304)
+    # 24 points, where the n-bit blocks of the masks are widest
+    assert _states(count_full, gen_double_circle(12), monkeypatch) == (2239507936, 27847)
+    assert _states(count_full, gen_quasi_convex(16, range(0, 16, 2)),
+                   monkeypatch) == (7670791800, 9985)
