@@ -60,10 +60,6 @@ def find_blocking_apex(ps: PointSet, p: int, side) -> int | None:
     return blocking_apex(ps.xy, p, *_side_or_raise(ps, side))
 
 
-def is_close(ps: PointSet, p: int, side) -> bool:
-    return find_blocking_apex(ps, p, side) is None
-
-
 @dataclass(frozen=True)
 class QuasiConvexReport:
     is_quasi_convex: bool

@@ -1,10 +1,11 @@
 """Mutation smoke: each listed mutant of ``src/tricensus`` must fail its tests.
 
 Run from anywhere with ``python tests/mutants.py``.  For each entry it copies
-``src/``, ``tests/`` and ``pyproject.toml`` into a fresh temporary directory,
-replaces the entry's anchor text in one file of the copy, and runs pytest
-there on each test file the entry names; every one of them must fail.  The
-checkout is never written, not even a cache or a hypothesis database.
+``src/``, ``tests/``, ``pyproject.toml`` and ``README.md`` (whose library
+sketch a test runs) into a fresh temporary directory, replaces the entry's
+anchor text in one file of the copy, and runs pytest there on each test file
+the entry names; every one of them must fail.  The checkout is never
+written, not even a cache or a hypothesis database.
 
 Each anchor must occur exactly once in its file, so a refactor that moves
 or rewrites the mutated code fails the script until the entry is re-pointed.
@@ -58,6 +59,25 @@ MUTANTS = (
            "seq.insert(-1, best)",
            ("tests/test_closeness.py",),
            "each close point lands before its side's q, not between q and r"),
+    Mutant("closeness.py",
+           "        x, y = xy[hull[j - 1]]\n"
+           "        if ux * (y - ry) > uy * (x - rx):\n"
+           "            continue\n",
+           "",
+           ("tests/test_closeness.py",),
+           "classify's scan from r skips the hull vertex before q, so a point that "
+           "vertex blocks still reads close"),
+    Mutant("closeness.py",
+           "if (bx - qx) * (y - qy) < (by - qy) * (x - qx):",
+           "if (bx - qx) * (y - qy) > (by - qy) * (x - qx):",
+           ("tests/test_closeness.py",),
+           "classify's scan from q keeps the point turning most from q -> r, not least"),
+    Mutant("closeness.py",
+           "for _, x, y in inner:\n            if ux * (y - ry) > uy * (x - rx):",
+           "for _, x, y in inner:\n            if ux * (y - ry) < uy * (x - rx):",
+           ("tests/test_closeness.py",),
+           "classify's scan from r rejects a candidate when an interior point lies right "
+           "of r -> best, not left"),
     Mutant("harness.py",
            '"lower_bound_failures": sum(not v.lower_bound_ok for v in checked)',
            '"lower_bound_failures": sum(not v.equality_iff_ok for v in checked)',
@@ -113,6 +133,17 @@ MUTANTS = (
            "left_p[q] * (col_p >> q & ones) | left[q][p] * (col[q] >> p & ones)",
            ("tests/test_triangulations.py",),
            "the crossing test takes d from the same side of pq as c"),
+    Mutant("triangulations.py",
+           "low = todo & -todo\n        todo ^= low\n        v = low.bit_length() - 1",
+           "v = todo.bit_length() - 1\n        low = 1 << v\n        todo ^= low",
+           ("tests/test_partial_count.py",),
+           "a region's inside apexes come in descending rank, so the split order changes"),
+    Mutant("geom.py",
+           "distinct = len(set(xy)) == len(xy)",
+           "distinct = True",
+           ("tests/test_geom.py",),
+           "general_position_violation's fast path also skips a prefix that repeats a "
+           "point, so a duplicate is reported late, as a collinear triple, or not at all"),
 )
 
 
@@ -135,7 +166,8 @@ def run_mutant(m: Mutant) -> list[str]:
         ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
         shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
         shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
-        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        for name in ("pyproject.toml", "README.md"):
+            shutil.copy(ROOT / name, work / name)
         target = work / "src" / "tricensus" / m.file
         target.write_text(target.read_text().replace(m.anchor, m.replacement))
         env = dict(os.environ, PYTHONPATH=str(work / "src"), PYTHONDONTWRITEBYTECODE="1")

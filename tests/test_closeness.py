@@ -1,4 +1,6 @@
 from fractions import Fraction
+from itertools import combinations
+from math import gcd
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -10,11 +12,10 @@ from tricensus.closeness import (
     classify,
     close_via_neighbor_triangles,
     find_blocking_apex,
-    is_close,
 )
 from tricensus.generators import gen_convex, gen_double_circle, gen_quasi_convex, gen_random
 from tricensus.geom import PointSet, added_xy_violation, integer_view
-from tricensus.triangulations import count_partial
+from tricensus.triangulations import brute_force_count, count_partial
 
 from oracles import INSIDE, orient, point_in_triangle
 
@@ -25,24 +26,23 @@ PENTAGON_PLUS_CENTER = [(0, -10), (10, -3), (6, 9), (-6, 9), (-10, -3), (0, 0)]
 def test_triangle_interior_point_is_close_to_every_side():
     ps = PointSet.from_points([(0, 0), (6, 0), (0, 6), (2, 2)])
     for side in ps.hull_sides():
-        assert is_close(ps, 3, side)
+        assert find_blocking_apex(ps, 3, side) is None
 
 
 def test_square_point_close_to_bottom_not_top():
     ps = PointSet.from_points(SQUARE_PLUS_LOW)
-    assert is_close(ps, 4, (0, 1))
-    assert not is_close(ps, 4, (2, 3))
+    assert find_blocking_apex(ps, 4, (0, 1)) is None
     assert find_blocking_apex(ps, 4, (2, 3)) == 0
     # sides may be given in either orientation
-    assert is_close(ps, 4, (1, 0))
+    assert find_blocking_apex(ps, 4, (1, 0)) is None
 
 
-def test_is_close_validates_arguments():
+def test_find_blocking_apex_validates_arguments():
     ps = PointSet.from_points(SQUARE_PLUS_LOW)
     with pytest.raises(ValueError):
-        is_close(ps, 0, (0, 1))  # not interior
+        find_blocking_apex(ps, 0, (0, 1))  # not interior
     with pytest.raises(ValueError):
-        is_close(ps, 4, (0, 2))  # not a hull side
+        find_blocking_apex(ps, 4, (0, 2))  # not a hull side
 
 
 def test_classify_convex_polygon():
@@ -108,7 +108,7 @@ def test_at_most_one_close_point_per_side():
                 expected = _blocking_apex_by_point_in_triangle(ps, p, side)
                 assert find_blocking_apex(ps, p, side) == expected
                 assert find_blocking_apex(ps, p, side[::-1]) == expected
-                if is_close(ps, p, side):
+                if expected is None:
                     assert side not in seen, (side, seen[side], p)
                     seen[side] = p
 
@@ -312,3 +312,80 @@ def test_classify_rejects_a_candidate_the_scan_from_r_does_not_pick(coords, side
     assert not _others_left_of(ps, p, r, side)
     assert find_blocking_apex(ps, p, side) == apex
     assert _assert_matches_references(ps) == expected
+
+
+# -- both sides of the closeness boundary -------------------------------------
+
+def _close_by_oracle(pts, p, q, r):
+    """p lies strictly inside every triangle over q -> r, by point_in_triangle."""
+    return all(point_in_triangle(pts[p], pts[q], pts[r], pts[a]) == INSIDE
+               for a in range(len(pts)) if a not in (p, q, r))
+
+
+def _closeness_boundary(ps):
+    """(p, side, step, near, far) for a quasi-convex integer set ``ps``.
+
+    p is the lowest-numbered interior point and side = (q, r) the first hull
+    side it is close to.  On the set scaled by 64, p moves inward by whole
+    steps, each the primitive inward normal of q -> r; ``near`` holds p at
+    the last step at which it is still close, and ``far`` one step further.
+    Only the rational oracle decides closeness, so the construction trusts
+    none of the code under test.  The positions at which p is close are the
+    intersection of the open triangles over the side, a convex set, so p
+    leaves it once and a binary search finds that step.
+    """
+    assert ps.scale == 1
+    pts = [(64 * x, 64 * y) for x, y in ps.xy]
+    p = min(ps.interior)
+    q, r = next(side for side in ps.hull_sides() if _close_by_oracle(pts, p, *side))
+    (px, py), (qx, qy), (rx, ry) = pts[p], pts[q], pts[r]
+    g = gcd(ry - qy, rx - qx)
+    dx, dy = -(ry - qy) // g, (rx - qx) // g
+
+    def moved(k):
+        return [*pts[:p], (px + k * dx, py + k * dy), *pts[p + 1:]]
+
+    lo, hi = 0, 1  # p is close at lo and, once the doubling stops, not at hi
+    while _close_by_oracle(moved(hi), p, q, r):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if _close_by_oracle(moved(mid), p, q, r) else (lo, mid)
+    near, far = PointSet.from_points(moved(lo)), PointSet.from_points(moved(hi))
+    assert near.hull == far.hull == ps.hull
+    return p, (q, r), lo, near, far
+
+
+@pytest.mark.parametrize("hull, sides, p, side, step, blocker, excess", [
+    (12, None, 12, (0, 1), 58, 23, 11_338_026_180),
+    (16, range(0, 16, 2), 16, (0, 1), 45, 15, 11_338_026_180),
+    (20, range(0, 20, 2), 20, (0, 1), 43, None, 32_798_844_771_700),
+    (6, (1, 4), 6, (1, 2), 2997, None, 14),
+    (6, (0, 2, 5), 6, (0, 1), 207, None, 48),
+    (7, (0, 3, 5), 7, (0, 1), 10039, None, 165),
+], ids=["dc24", "qc24", "qc30", "qc8", "qc9", "qc10"])
+def test_both_sides_of_the_closeness_boundary(hull, sides, p, side, step, blocker, excess):
+    """One step apart, the close side keeps the equality and the far side
+    exceeds C(n-2).  On the two 24-point sets the far side's first blocker is
+    the point just before q in the polygon order: the previous side's close
+    point in the double circle, the hull vertex before q in the quasi-convex
+    set.  The whole table takes about 1.3 s."""
+    ps = gen_double_circle(hull) if sides is None else gen_quasi_convex(hull, sides)
+    catalan = polygon_triangulation_count(len(ps.xy))
+    found = _closeness_boundary(ps)
+    assert found[:3] == (p, side, step)
+    near, far = found[3:]
+    report = classify(near)
+    assert report.is_quasi_convex and report.assignment[p] == side
+    assert count_partial(near) == catalan
+    report = classify(far)
+    assert not report.is_quasi_convex and p not in report.assignment
+    total = count_partial(far)
+    assert total - catalan == excess
+    if blocker is not None:
+        assert find_blocking_apex(far, p, side) == blocker
+    if len(ps.xy) <= 10:
+        corners = frozenset(far.hull)
+        assert total == sum(brute_force_count(far, corners | frozenset(sub))
+                            for k in range(len(far.interior) + 1)
+                            for sub in combinations(far.interior, k))

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from tricensus import generators
 from tricensus.catalan import polygon_triangulation_count
-from tricensus.closeness import classify, is_close
+from tricensus.closeness import classify, find_blocking_apex
 from tricensus.errors import ConstructionError
 from tricensus.generators import (
     FAMILIES,
@@ -81,7 +81,7 @@ def test_gen_quasi_convex_examples():
     ps = gen_quasi_convex(5, [1])
     assert len(ps.points) == 6
     assert classify(ps).is_quasi_convex
-    assert is_close(ps, 5, (1, 2))
+    assert find_blocking_apex(ps, 5, (1, 2)) is None
     assert count_partial(ps) == 14
 
     ps2 = gen_quasi_convex(4, [0, 2])
@@ -131,7 +131,7 @@ def test_ring_family_points_are_pinned(hull, sides):
     digest = hashlib.sha256(format_points(ps.points).encode()).hexdigest()
     assert digest == RING_DIGESTS[hull, sides]
     for pos, j in enumerate(range(hull) if sides is None else sides):
-        assert is_close(ps, hull + pos, (j, (j + 1) % hull))
+        assert find_blocking_apex(ps, hull + pos, (j, (j + 1) % hull)) is None
     assert classify(ps).is_quasi_convex
 
 

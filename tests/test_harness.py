@@ -129,6 +129,13 @@ def test_run_corpus_starts_at_most_one_worker_per_instance(monkeypatch):
     assert started == [2]
 
 
+def _run_fresh(code):
+    """Run ``code`` in a fresh interpreter that imports this checkout's package."""
+    env =dict(os.environ, PYTHONPATH=str(Path(tricensus.__file__).resolve().parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, timeout=120)
+
+
 _POOL_MODULES_SCRIPT = """
 import contextlib, io, json, sys
 import tricensus, tricensus.cli
@@ -149,13 +156,28 @@ def test_only_a_pooled_run_loads_the_process_pool():
     already: importing the package and a serial verify load neither
     multiprocessing nor the pool; a --jobs 2 run over three instances loads
     both."""
-    env = dict(os.environ, PYTHONPATH=str(Path(tricensus.__file__).resolve().parents[1]))
-    run = subprocess.run([sys.executable, "-c", _POOL_MODULES_SCRIPT],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = _run_fresh(_POOL_MODULES_SCRIPT)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout)
     assert result["codes"] == [0, 0]
     assert result["loaded"] == [[False, False], [False, False], [True, True]]
+
+
+def test_importing_a_module_loads_only_that_module():
+    """The package imports nothing, so importing geom, which imports no other
+    package module, loads exactly the package and geom."""
+    run = _run_fresh("import json, sys, tricensus.geom\n"
+                     "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'tricensus')))")
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout) == ["tricensus", "tricensus.geom"]
+
+
+def test_readme_library_sketch_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    sketch = readme.split("\n## Library sketch\n", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    assert "import" in sketch
+    run = _run_fresh(sketch)
+    assert run.returncode == 0, run.stderr
 
 
 def test_run_corpus_empty():
