@@ -50,13 +50,18 @@ caller passes its mask:
   left out of S may lie inside one of its regions, and does not block.
 
 Whatever the mask, the points inside a region follow from its boundary
-cycle, so one memo per call serves the whole count.  Its key is the region's
-edge mask, one bit per directed boundary edge: a counter-clockwise cycle is
-determined by its edge set, so the mask names the cycle whatever vertex it
-starts at.  Each split derives its sub-regions' edge and inside masks from
-the parent's in O(1), from running prefixes along the cycle, and hands them
-down.  The recursion looks a sub-region up before it slices the sub-region's
-cycle, so a memo hit builds no tuple and needs no anchor rotation.
+cycle, so one memo per call serves the whole count, or the whole of one
+vertex set's listing.  A listing of several vertex sets also keeps one memo
+that all of them share, for the regions with no point of the set inside:
+within such a region the blocker mask holds only the boundary vertices, so
+its anchor triangles, sub-regions and listing follow from the cycle alone.
+The key of every memo is the region's edge mask, one bit per directed
+boundary edge: a counter-clockwise cycle is determined by its edge set, so
+the mask names the cycle whatever vertex it starts at.  Each split derives
+its sub-regions' edge and inside masks from the parent's in O(1), from
+running prefixes along the cycle, and hands them down.  The recursion looks
+a sub-region up before it slices the sub-region's cycle, so a memo hit
+builds no tuple and needs no anchor rotation.
 
 The recursion reads integers only.  Built for each count or listing, in its
 order, and dropped when it returns, from the integer coordinates ``ps.xy``
@@ -344,19 +349,25 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
 
 
 def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ...], inside: int,
-                      edges: int, keep: int, memo) -> tuple:
+                      edges: int, keep: int, memo, empty) -> tuple:
     """Every triangulation that uses all the inside points of a region that
-    is not in ``memo`` yet; the listing is stored there under ``edges``.
+    is not memoised yet; the listing is stored under ``edges`` in ``empty``
+    when ``inside`` is 0 and in ``memo`` otherwise.
 
     ``keep`` is the mask of the listing's vertex set and the blocker mask of
     every split: an anchor triangle covers no point of the set, and an
     interior point left out of the set never blocks, even inside the region.
+    ``inside`` is always the set's points inside the region, as no valid
+    triangle covers one.  So a region with ``inside`` 0 meets ``keep`` only
+    in its boundary vertices, and its splits and listing follow from its
+    cycle alone: ``empty`` may serve every vertex set of a listing, while
+    ``memo`` serves one.
 
     ``t`` is in the identity order, so point ranks are the indices a listing
     prints, and ``triangle`` is the rank table of ``_triangle_table(n)``.  Each
     triangulation is a tuple of triangle ranks read from it, the anchor
     triangle first, then the first sub-region's triangles, then the second's,
-    so the memo holds tuples of ints.  A bare-edge sub-region lists as
+    so the memos hold tuples of ints.  A bare-edge sub-region lists as
     ``((),)``, one triangulation with no triangle, and is never looked up or
     recursed into.
     """
@@ -371,19 +382,19 @@ def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ..
         tri = (triangle_ab[v],)
         parts1 = parts2 = ((),)
         if j != 2:
-            parts1 = memo.get(edges1)
+            parts1 = (memo if inside1 else empty).get(edges1)
             if parts1 is None:
                 parts1 = _enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a, v),
-                                           inside1, edges1, keep, memo)
+                                           inside1, edges1, keep, memo, empty)
         if 0 < j < k - 1:
-            parts2 = memo.get(edges2)
+            parts2 = (memo if inside2 else empty).get(edges2)
             if parts2 is None:
                 parts2 = _enumerate_region(t, triangle, cyc[j:] + (a,), inside2, edges2, keep,
-                                           memo)
+                                           memo, empty)
         # tri + () is tri itself, so a bare side builds no extra tuple
         out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
     result = tuple(out)
-    memo[edges] = result
+    (memo if inside else empty)[edges] = result
     return result
 
 
@@ -451,7 +462,9 @@ def _listing(ps: PointSet, interior_sets) -> Listing:
     """Listings of the full triangulations of each vertex set, the hull plus
     each set of interior points in turn, each blocking its vertex set's
     points; refused before any table is built when ``ps`` exceeds the size
-    cap."""
+    cap.  Each vertex set has its own memo for the regions with some of its
+    points inside; the regions with none inside are listed once and shared
+    by all the vertex sets, since their listings follow from the cycle."""
     n = len(ps.xy)
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
@@ -460,12 +473,14 @@ def _listing(ps: PointSet, interior_sets) -> Listing:
     t = _RegionTables(ps, range(n))
     rank, triangles = _triangle_table(n)
     hull = frozenset(ps.hull)
+    empty = {}
     parts = []
     for extra in interior_sets:
         sub = hull | extra
         # the vertex set's mask: in the identity order a point's rank is its index
         keep = sum(1 << i for i in sub)
-        parts.append((sub, _enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {})))
+        listing = _enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {}, empty)
+        parts.append((sub, listing))
     return Listing(parts, triangles)
 
 

@@ -107,11 +107,17 @@ MUTANTS = (
            "required mode lets the anchor triangle cover inside points, so full counts "
            "include triangulations that skip a point"),
     Mutant("triangulations.py",
-           "_enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {})",
-           "_enumerate_region(t, rank, *t.region(ps.hull, extra), t.full, {})",
+           "_enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {}, empty)",
+           "_enumerate_region(t, rank, *t.region(ps.hull, extra), t.full, {}, empty)",
            ("tests/test_triangulations.py",),
            "a listing blocks the interior points left out of its vertex set, so it drops "
            "triangles that cover them"),
+    Mutant("triangulations.py",
+           "keep, {}, empty)",
+           "keep, empty, empty)",
+           ("tests/test_triangulations.py",),
+           "a listing shares every region across its interior subsets by edge mask alone, "
+           "so a region is reused for a subset with other kept points inside it"),
     Mutant("triangulations.py",
            "if boundary[i - 1] < boundary[(i + 1) % len(boundary)]:",
            "if boundary[i - 1] > boundary[(i + 1) % len(boundary)]:",

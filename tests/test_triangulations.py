@@ -211,6 +211,29 @@ def test_enumerate_partial_matches_count_and_subset_sum():
                 assert len(by_subset.get(key, [])) == count_full(_sub_point_set(ps, key))
 
 
+def _assert_parts_match_lone_listings(ps):
+    """Each vertex set's part of ``enumerate_partial(ps)`` is the listing of
+    that vertex set alone, in the same order: a region listed for one
+    interior subset and reused for another is right only when it holds no
+    kept point inside."""
+    hull = frozenset(ps.hull)
+    for sub, listing in enumerate_partial(ps).parts:
+        assert triangulations._listing(ps, [sub - hull]).parts == [(sub, listing)]
+
+
+@pytest.mark.parametrize("ps", [gen_random(9, 256, 7), gen_random(10, 256, 8), gen_random(11, 256, 7),
+                                gen_random(12, 256, 8), gen_double_circle(5), gen_double_circle(6)],
+                         ids=["random9", "random10", "random11", "random12", "dc5", "dc6"])
+def test_partial_listing_parts_match_each_subset_listed_alone(ps):
+    _assert_parts_match_lone_listings(ps)
+
+
+@settings(max_examples=30, deadline=None)
+@given(n=st.integers(min_value=4, max_value=10), seed=st.integers(min_value=0, max_value=10_000))
+def test_partial_listing_parts_match_lone_listings_on_random_sets(n, seed):
+    _assert_parts_match_lone_listings(gen_random(n, 32, seed=seed))
+
+
 def test_triangulation_edges_derived():
     square = frozenset({(0, 1), (0, 2), (1, 2), (2, 3), (0, 3)})
     assert Triangulation(frozenset({0, 1, 2, 3}), ((0, 1, 2), (0, 2, 3))).edges == square
@@ -364,13 +387,15 @@ def test_counts_and_listings_keep_nothing_on_the_point_set():
 
 def _listing_work(enumerate_all, ps, monkeypatch):
     """The length of ``enumerate_all(ps)`` and the number of region states in
-    the memos of its region recursions, summed over its interior subsets (one
-    memo each)."""
+    the memos of its region recursions: each call's last two arguments, the
+    memo of its interior subset and the memo all the subsets share, each
+    distinct memo counted once."""
     memos = {}
     engine = triangulations._enumerate_region
 
     def spy(*args):
-        memos.setdefault(id(args[-1]), args[-1])
+        for memo in args[-2:]:
+            memos.setdefault(id(memo), memo)
         return engine(*args)
 
     with monkeypatch.context() as m:
@@ -384,12 +409,12 @@ def test_listing_work_is_pinned(monkeypatch):
     order: a change to how listings are built that alters the anchors, the
     apexes or the set of states fails here even when the listings agree."""
     pinned = {  # (n, seed): ((full, states), (partial, states))
-        (9, 7): ((162, 88), (570, 471)),
-        (9, 8): ((436, 153), (717, 280)),
-        (11, 7): ((3133, 478), (13303, 5408)),
-        (11, 8): ((6640, 991), (12639, 2595)),
-        (12, 7): ((15959, 1382), (74640, 19595)),
-        (12, 8): ((15541, 1638), (51863, 10803)),
+        (9, 7): ((162, 88), (570, 339)),
+        (9, 8): ((436, 153), (717, 266)),
+        (11, 7): ((3133, 478), (13303, 3973)),
+        (11, 8): ((6640, 991), (12639, 2367)),
+        (12, 7): ((15959, 1382), (74640, 14066)),
+        (12, 8): ((15541, 1638), (51863, 8095)),
     }
     for (n, seed), want in pinned.items():
         ps = gen_random(n, 256, seed)
@@ -397,7 +422,7 @@ def test_listing_work_is_pinned(monkeypatch):
         assert got == want, (n, seed)
     ps = gen_double_circle(6)
     assert _listing_work(enumerate_full, ps, monkeypatch) == (2236, 565)
-    assert _listing_work(enumerate_partial, ps, monkeypatch) == (16796, 7718)
+    assert _listing_work(enumerate_partial, ps, monkeypatch) == (16796, 4623)
 
 
 @settings(max_examples=30, deadline=None)
