@@ -104,8 +104,13 @@ def _cmd_count(args) -> int:
     ps = load_point_set(args.file)
     if args.enumerate_all:
         listing = enumerate_full(ps) if args.mode == "full" else enumerate_partial(ps)
-        sys.stdout.writelines(listing.lines())
-        print(len(listing), file=sys.stderr)
+        # one pass: the lines are counted as they are written, not listed again
+        write = sys.stdout.write
+        count = 0
+        for line in listing.lines():
+            write(line)
+            count += 1
+        print(count, file=sys.stderr)
         return 0
     count = count_full(ps) if args.mode == "full" else count_partial(ps)
     print(count)

@@ -22,10 +22,13 @@ triangle's ascending ranks are the index triple a listing prints.  The
 region recursion lists each triangle as its lexicographic rank among the
 C(n, 3) ascending triples, an int, read from a table built once per number
 of points; sorting the ranks of a triangulation orders its triangles as
-sorting their triples would.  A listing holds these rank tuples and decodes
-them only when asked: into ``Triangulation`` records whose triangles are
-the shared triples of the table, one tuple object per distinct triangle, or
-into listing text.  The counts never build that table.
+sorting their triples would.  A listing stores no triangulation: each pass
+over it lists the vertex sets one at a time and builds the rank tuples of
+the root region as it reads them, decoding each into a ``Triangulation``
+record, whose triangles are the shared triples of the table, one tuple
+object per distinct triangle, or into a line of listing text.  So ``count
+--enumerate`` prints as it goes, and holds the memo of one vertex set at a
+time, besides the shared memo below.  The counts never build that table.
 
 The listing text has one line per triangulation: its triangles in ascending
 order, separated by single spaces, each written as its ascending index
@@ -51,10 +54,11 @@ caller passes its mask:
 
 Whatever the mask, the points inside a region follow from its boundary
 cycle, so one memo per call serves the whole count, or the whole of one
-vertex set's listing.  A listing of several vertex sets also keeps one memo
-that all of them share, for the regions with no point of the set inside:
-within such a region the blocker mask holds only the boundary vertices, so
-its anchor triangles, sub-regions and listing follow from the cycle alone.
+vertex set's listing in one pass.  A pass over several vertex sets also
+keeps one memo that all of them share, for the regions with no point of the
+set inside: within such a region the blocker mask holds only the boundary
+vertices, so its anchor triangles, sub-regions and listing follow from the
+cycle alone.
 The key of every memo is the region's edge mask, one bit per directed
 boundary edge: a counter-clockwise cycle is determined by its edge set, so
 the mask names the cycle whatever vertex it starts at.  Each split derives
@@ -348,6 +352,39 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
     return total
 
 
+def _region_products(t: _RegionTables, triangle: tuple, boundary: tuple[int, ...], inside: int,
+                     edges: int, keep: int, memo, empty):
+    """Yield ``(anchor, parts1, parts2)`` for every valid anchor triangle of a
+    region, in split order: ``anchor`` is the 1-tuple of the triangle's rank,
+    and ``parts1`` and ``parts2`` are the listings of its two sub-regions, so
+    the region's triangulations on that anchor are ``anchor + p1 + p2`` for
+    every p1 in ``parts1`` and p2 in ``parts2``, in that order.
+
+    A sub-region is read from its memo, or listed by ``_enumerate_region``
+    and stored there.  A bare-edge side lists as ``((),)``, one triangulation
+    with no triangle, and an inside apex has a bare second side.  The region
+    itself is not looked up or stored, so a listing reads its root region's
+    products directly and never holds the root's whole listing.
+    """
+    cyc = _anchor_rotation(boundary)
+    a = cyc[0]
+    triangle_ab = triangle[a][cyc[1]]
+    k = len(cyc)
+    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, keep):
+        parts1 = parts2 = ((),)
+        if j != 2:
+            parts1 = (memo if inside1 else empty).get(edges1)
+            if parts1 is None:
+                parts1 = _enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a, v),
+                                           inside1, edges1, keep, memo, empty)
+        if 0 < j < k - 1:
+            parts2 = (memo if inside2 else empty).get(edges2)
+            if parts2 is None:
+                parts2 = _enumerate_region(t, triangle, cyc[j:] + (a,), inside2, edges2, keep,
+                                           memo, empty)
+        yield (triangle_ab[v],), parts1, parts2
+
+
 def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ...], inside: int,
                       edges: int, keep: int, memo, empty) -> tuple:
     """Every triangulation that uses all the inside points of a region that
@@ -366,33 +403,17 @@ def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ..
     ``t`` is in the identity order, so point ranks are the indices a listing
     prints, and ``triangle`` is the rank table of ``_triangle_table(n)``.  Each
     triangulation is a tuple of triangle ranks read from it, the anchor
-    triangle first, then the first sub-region's triangles, then the second's,
-    so the memos hold tuples of ints.  A bare-edge sub-region lists as
-    ``((),)``, one triangulation with no triangle, and is never looked up or
-    recursed into.
+    triangle first, then the first sub-region's triangles, then the second's
+    (``_region_products``), so the memos hold tuples of ints.  An empty
+    triangle lists as itself and is never stored.
     """
     if len(boundary) == 3 and not inside:
         return ((triangle[boundary[0]][boundary[1]][boundary[2]],),)
-    cyc = _anchor_rotation(boundary)
-    a, b = cyc[0], cyc[1]
-    triangle_ab = triangle[a][b]
-    k = len(cyc)
     out = []
-    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, keep):
-        tri = (triangle_ab[v],)
-        parts1 = parts2 = ((),)
-        if j != 2:
-            parts1 = (memo if inside1 else empty).get(edges1)
-            if parts1 is None:
-                parts1 = _enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a, v),
-                                           inside1, edges1, keep, memo, empty)
-        if 0 < j < k - 1:
-            parts2 = (memo if inside2 else empty).get(edges2)
-            if parts2 is None:
-                parts2 = _enumerate_region(t, triangle, cyc[j:] + (a,), inside2, edges2, keep,
-                                           memo, empty)
-        # tri + () is tri itself, so a bare side builds no extra tuple
-        out += [tri + p1 + p2 for p1 in parts1 for p2 in parts2]
+    for anchor, parts1, parts2 in _region_products(t, triangle, boundary, inside, edges, keep,
+                                                   memo, empty):
+        # anchor + () is the anchor itself, so a bare side builds no extra tuple
+        out += [anchor + p1 + p2 for p1 in parts1 for p2 in parts2]
     result = tuple(out)
     (memo if inside else empty)[edges] = result
     return result
@@ -422,66 +443,88 @@ def count_partial(ps: PointSet) -> int:
 
 
 class Listing:
-    """A listing of triangulations, held as tuples of triangle ranks and
-    decoded only when asked.
+    """A listing of triangulations: the full triangulations of the hull plus
+    each set of interior points in turn, computed anew on every pass.
 
-    ``parts`` pairs each vertex subset with the region listing of its
-    triangulations, in listing order, and ``triangles`` is the triangle of
-    each rank.  ``len()`` is the number of triangulations.  Iterating yields
-    ``Triangulation`` records, triangles ascending; ``lines()`` yields the
-    listing text line by line, without building a record.  Each pass decodes
-    anew.
+    A pass, whether ``len()``, iterating or ``lines()``, builds the region
+    tables once and lists the vertex sets one at a time, in order.  Only the
+    memo of the vertex set being listed and the memo of the regions with no
+    kept point inside, which every vertex set shares, are alive at a time.
+    The root region, the hull, is never listed whole: a pass reads its
+    products (``_region_products``) and builds each triangulation's rank tuple
+    as it goes.  So the first lines of a listing come out at once, and a pass
+    holds the sub-region listings of one vertex set at a time, besides the
+    shared ones.
+
+    ``triangles`` is the triangle of each rank.  ``len()`` is the number of
+    triangulations, the sum over the root products of ``len(parts1) *
+    len(parts2)``, so it decodes nothing.  Iterating yields ``Triangulation``
+    records, triangles ascending; ``lines()`` yields the listing text line by
+    line, without building a record.
     """
 
-    __slots__ = ("parts", "triangles")
+    __slots__ = ("_ps", "_interior_sets", "triangles")
 
-    def __init__(self, parts, triangles):
-        self.parts = parts
-        self.triangles = triangles
+    def __init__(self, ps: PointSet, interior_sets):
+        self._ps = ps
+        self._interior_sets = interior_sets
+        self.triangles = _triangle_table(len(ps.xy))[1]
+
+    def _products(self):
+        """Yield ``(vertex set, anchor, parts1, parts2)`` for every product of
+        the root region of every vertex set, in listing order."""
+        ps = self._ps
+        n = len(ps.xy)
+        # identity order: point ranks are indices, so the listed triangles need no
+        # mapping back; one set of tables serves every interior set
+        t = _RegionTables(ps, range(n))
+        rank = _triangle_table(n)[0]
+        hull = frozenset(ps.hull)
+        empty = {}
+        for extra in self._interior_sets:
+            sub = hull | extra
+            # the vertex set's mask: in the identity order a point's rank is its index
+            keep = sum(1 << i for i in sub)
+            root = t.region(ps.hull, extra)
+            for anchor, parts1, parts2 in _region_products(t, rank, *root, keep, {}, empty):
+                yield sub, anchor, parts1, parts2
 
     def __len__(self) -> int:
-        return sum(len(listing) for _, listing in self.parts)
+        return sum(len(parts1) * len(parts2) for _, _, parts1, parts2 in self._products())
 
     def __iter__(self):
         triangle = self.triangles.__getitem__
-        for sub, listing in self.parts:
-            for ranks in listing:
-                yield Triangulation(sub, tuple(map(triangle, sorted(ranks))))
+        for sub, anchor, parts1, parts2 in self._products():
+            for p1 in parts1:
+                head = anchor + p1
+                for p2 in parts2:
+                    yield Triangulation(sub, tuple(map(triangle, sorted(head + p2))))
 
     def lines(self):
         """Each triangulation's line of listing text, newline included."""
         # a listing repeats at most C(14, 3) = 364 triangles: format each once
         text = [",".join(map(str, tri)) for tri in self.triangles].__getitem__
         join = " ".join
-        for _, listing in self.parts:
-            for ranks in listing:
-                yield join(map(text, sorted(ranks))) + "\n"
+        for _, anchor, parts1, parts2 in self._products():
+            for p1 in parts1:
+                head = anchor + p1
+                for p2 in parts2:
+                    yield join(map(text, sorted(head + p2))) + "\n"
 
 
 def _listing(ps: PointSet, interior_sets) -> Listing:
-    """Listings of the full triangulations of each vertex set, the hull plus
-    each set of interior points in turn, each blocking its vertex set's
+    """The listing of the full triangulations of each vertex set, the hull
+    plus each set of interior points in turn, each blocking its vertex set's
     points; refused before any table is built when ``ps`` exceeds the size
-    cap.  Each vertex set has its own memo for the regions with some of its
-    points inside; the regions with none inside are listed once and shared
-    by all the vertex sets, since their listings follow from the cycle."""
+    cap.  ``interior_sets`` is read once per pass, so it must be iterable
+    again.  Each vertex set has its own memo for the regions with some of its
+    points inside; the regions with none inside are listed once per pass and
+    shared by all the vertex sets, since their listings follow from the
+    cycle."""
     n = len(ps.xy)
     if n > ENUMERATION_CAP:
         raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
-    # identity order: point ranks are indices, so the listed triangles need no
-    # mapping back; one set of tables serves every interior set
-    t = _RegionTables(ps, range(n))
-    rank, triangles = _triangle_table(n)
-    hull = frozenset(ps.hull)
-    empty = {}
-    parts = []
-    for extra in interior_sets:
-        sub = hull | extra
-        # the vertex set's mask: in the identity order a point's rank is its index
-        keep = sum(1 << i for i in sub)
-        listing = _enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {}, empty)
-        parts.append((sub, listing))
-    return Listing(parts, triangles)
+    return Listing(ps, interior_sets)
 
 
 def enumerate_full(ps: PointSet) -> Listing:
@@ -491,11 +534,13 @@ def enumerate_full(ps: PointSet) -> Listing:
 
 def enumerate_partial(ps: PointSet) -> Listing:
     """All partial triangulations: the listings of the hull plus each interior
-    subset, iterated in Gray-code order; refuses sets above the size cap."""
+    subset, in Gray-code order; refuses sets above the size cap."""
     interior = ps.interior
     m = len(interior)
     gray = (u ^ u >> 1 for u in range(1 << m))
-    return _listing(ps, (frozenset(interior[k] for k in range(m) if g >> k & 1) for g in gray))
+    # a tuple, not a generator: every pass over the listing reads the subsets
+    return _listing(ps, tuple(frozenset(interior[k] for k in range(m) if g >> k & 1)
+                              for g in gray))
 
 
 def brute_force_count(ps: PointSet, vertex_subset=None) -> int:

@@ -107,8 +107,8 @@ MUTANTS = (
            "required mode lets the anchor triangle cover inside points, so full counts "
            "include triangulations that skip a point"),
     Mutant("triangulations.py",
-           "_enumerate_region(t, rank, *t.region(ps.hull, extra), keep, {}, empty)",
-           "_enumerate_region(t, rank, *t.region(ps.hull, extra), t.full, {}, empty)",
+           "_region_products(t, rank, *root, keep, {}, empty)",
+           "_region_products(t, rank, *root, t.full, {}, empty)",
            ("tests/test_triangulations.py",),
            "a listing blocks the interior points left out of its vertex set, so it drops "
            "triangles that cover them"),
@@ -118,6 +118,24 @@ MUTANTS = (
            ("tests/test_triangulations.py",),
            "a listing shares every region across its interior subsets by edge mask alone, "
            "so a region is reused for a subset with other kept points inside it"),
+    Mutant("triangulations.py",
+           "for p2 in parts2:\n                    yield join(",
+           "for p2 in parts2[:1]:\n                    yield join(",
+           ("tests/test_triangulations.py",),
+           "a listing's lines take only the first listing of the root's second sub-region, "
+           "so they drop triangulations"),
+    Mutant("triangulations.py",
+           "len(parts1) * len(parts2)",
+           "len(parts1) + len(parts2)",
+           ("tests/test_triangulations.py",),
+           "a listing's len() adds the sub-listing lengths of each root split instead of "
+           "multiplying them"),
+    Mutant("triangulations.py",
+           "rest1 = rest & (par ^ ray_b[v])",
+           "rest1 = rest & par",
+           ("tests/test_partial_count.py", "tests/test_triangulations.py"),
+           "sub-region 1's inside mask leaves out the closing edge v -> b, so the points "
+           "inside the two sub-regions are split wrongly"),
     Mutant("triangulations.py",
            "if boundary[i - 1] < boundary[(i + 1) % len(boundary)]:",
            "if boundary[i - 1] > boundary[(i + 1) % len(boundary)]:",
