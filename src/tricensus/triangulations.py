@@ -22,13 +22,17 @@ triangle's ascending ranks are the index triple a listing prints.  The
 region recursion lists each triangle as its lexicographic rank among the
 C(n, 3) ascending triples, an int, read from a table built once per number
 of points; sorting the ranks of a triangulation orders its triangles as
-sorting their triples would.  A listing stores no triangulation: each pass
-over it lists the vertex sets one at a time and builds the rank tuples of
-the root region as it reads them, decoding each into a ``Triangulation``
-record, whose triangles are the shared triples of the table, one tuple
-object per distinct triangle, or into a line of listing text.  So ``count
---enumerate`` prints as it goes, and holds the memo of one vertex set at a
-time, besides the shared memo below.  The counts never build that table.
+sorting their triples would.  A listing's one trivial sub-region is the bare
+edge, which lists as the empty triangulation; an empty triangle is listed
+and memoised like any other region.  A listing is refused when it is made,
+before any table is built, if the set exceeds ``ENUMERATION_CAP`` points.  A
+listing stores no triangulation: each pass over it lists the vertex sets one
+at a time and builds the rank tuples of the root region as it reads them,
+decoding each into a ``Triangulation`` record, whose triangles are the
+shared triples of the table, one tuple object per distinct triangle, or into
+a line of listing text.  So ``count --enumerate`` prints as it goes, and
+holds the memo of one vertex set at a time, besides the shared memo below.
+The counts never build that table.
 
 The listing text has one line per triangulation: its triangles in ascending
 order, separated by single spaces, each written as its ascending index
@@ -360,11 +364,13 @@ def _region_products(t: _RegionTables, triangle: tuple, boundary: tuple[int, ...
     the region's triangulations on that anchor are ``anchor + p1 + p2`` for
     every p1 in ``parts1`` and p2 in ``parts2``, in that order.
 
-    A sub-region is read from its memo, or listed by ``_enumerate_region``
-    and stored there.  A bare-edge side lists as ``((),)``, one triangulation
-    with no triangle, and an inside apex has a bare second side.  The region
-    itself is not looked up or stored, so a listing reads its root region's
-    products directly and never holds the root's whole listing.
+    A bare edge is the one trivial side, decided here: it lists as
+    ``((),)``, one triangulation with no triangle, and an inside apex has a
+    bare second side.  Every other sub-region, an empty triangle included,
+    is read from its memo, or listed by ``_enumerate_region`` and stored
+    there.  The region itself is not looked up or stored, so a listing reads
+    its root region's products directly and never holds the root's whole
+    listing.
     """
     cyc = _anchor_rotation(boundary)
     a = cyc[0]
@@ -405,10 +411,10 @@ def _enumerate_region(t: _RegionTables, triangle: tuple, boundary: tuple[int, ..
     triangulation is a tuple of triangle ranks read from it, the anchor
     triangle first, then the first sub-region's triangles, then the second's
     (``_region_products``), so the memos hold tuples of ints.  An empty
-    triangle lists as itself and is never stored.
+    triangle is no special case: its one split has two bare sides, so it
+    lists as ``((rank,),)`` and is stored in ``empty`` like any other region
+    with nothing inside.
     """
-    if len(boundary) == 3 and not inside:
-        return ((triangle[boundary[0]][boundary[1]][boundary[2]],),)
     out = []
     for anchor, parts1, parts2 in _region_products(t, triangle, boundary, inside, edges, keep,
                                                    memo, empty):
@@ -456,6 +462,11 @@ class Listing:
     holds the sub-region listings of one vertex set at a time, besides the
     shared ones.
 
+    A set above the size cap is refused with ``SizeCapError`` when the
+    listing is made, before any table is built, so no listing above the cap
+    exists.  ``interior_sets`` is read once per pass, so it must be iterable
+    again.
+
     ``triangles`` is the triangle of each rank.  ``len()`` is the number of
     triangulations, the sum over the root products of ``len(parts1) *
     len(parts2)``, so it decodes nothing.  Iterating yields ``Triangulation``
@@ -466,9 +477,12 @@ class Listing:
     __slots__ = ("_ps", "_interior_sets", "triangles")
 
     def __init__(self, ps: PointSet, interior_sets):
+        n = len(ps.xy)
+        if n > ENUMERATION_CAP:
+            raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
         self._ps = ps
         self._interior_sets = interior_sets
-        self.triangles = _triangle_table(len(ps.xy))[1]
+        self.triangles = _triangle_table(n)[1]
 
     def _products(self):
         """Yield ``(vertex set, anchor, parts1, parts2)`` for every product of
@@ -512,35 +526,22 @@ class Listing:
                     yield join(map(text, sorted(head + p2))) + "\n"
 
 
-def _listing(ps: PointSet, interior_sets) -> Listing:
-    """The listing of the full triangulations of each vertex set, the hull
-    plus each set of interior points in turn, each blocking its vertex set's
-    points; refused before any table is built when ``ps`` exceeds the size
-    cap.  ``interior_sets`` is read once per pass, so it must be iterable
-    again.  Each vertex set has its own memo for the regions with some of its
-    points inside; the regions with none inside are listed once per pass and
-    shared by all the vertex sets, since their listings follow from the
-    cycle."""
-    n = len(ps.xy)
-    if n > ENUMERATION_CAP:
-        raise SizeCapError(f"enumeration refused for {n} points (cap {ENUMERATION_CAP})")
-    return Listing(ps, interior_sets)
-
-
 def enumerate_full(ps: PointSet) -> Listing:
-    """All full triangulations; refuses sets above the size cap."""
-    return _listing(ps, [frozenset(ps.interior)])
+    """All full triangulations, as a ``Listing`` of the one vertex set of
+    every point; like every listing, refused above the size cap."""
+    return Listing(ps, [frozenset(ps.interior)])
 
 
 def enumerate_partial(ps: PointSet) -> Listing:
-    """All partial triangulations: the listings of the hull plus each interior
-    subset, in Gray-code order; refuses sets above the size cap."""
+    """All partial triangulations, as a ``Listing`` of the hull plus each
+    interior subset, in Gray-code order; like every listing, refused above
+    the size cap."""
     interior = ps.interior
     m = len(interior)
     gray = (u ^ u >> 1 for u in range(1 << m))
     # a tuple, not a generator: every pass over the listing reads the subsets
-    return _listing(ps, tuple(frozenset(interior[k] for k in range(m) if g >> k & 1)
-                              for g in gray))
+    return Listing(ps, tuple(frozenset(interior[k] for k in range(m) if g >> k & 1)
+                             for g in gray))
 
 
 def brute_force_count(ps: PointSet, vertex_subset=None) -> int:

@@ -88,6 +88,18 @@ MUTANTS = (
            "return True",
            ("tests/test_harness.py",),
            "a run whose identity suite failed reports success"),
+    Mutant("harness.py",
+           "from .triangulations import count_partial\n",
+           "from .triangulations import count_partial\n"
+           "from concurrent.futures import ProcessPoolExecutor\n",
+           ("tests/test_harness.py",),
+           "the process pool is imported with the module, so every serial run loads "
+           "multiprocessing"),
+    Mutant("cli.py",
+           'if report.summary["checked"] == 0:',
+           'if report.summary["checked"] < 0:',
+           ("tests/test_harness.py",),
+           "a verify run that checked no instance reports success"),
     Mutant("charvec.py",
            '"""Exhaustively check that polylines and bit vectors are in bijection."""\n',
            '"""Exhaustively check that polylines and bit vectors are in bijection."""\n'
@@ -137,14 +149,52 @@ MUTANTS = (
            "sub-region 1's inside mask leaves out the closing edge v -> b, so the points "
            "inside the two sub-regions are split wrongly"),
     Mutant("triangulations.py",
+           "pre ^ bit_a[b] | edge_bit[v][b], rest ^ rest1",
+           "pre ^ bit_a[b], rest ^ rest1",
+           ("tests/test_triangulations.py",),
+           "sub-region 1's edge mask leaves out the closing edge v -> b, so its memo key "
+           "names another cycle"),
+    Mutant("triangulations.py",
+           "edges ^ pre | bit_a[v]",
+           "edges ^ pre",
+           ("tests/test_partial_count.py",),
+           "sub-region 2's edge mask leaves out the closing edge a -> v, so its memo key "
+           "and crossing tests name another cycle"),
+    Mutant("triangulations.py",
+           "around | bit_a[v] | edge_bit[v][b]",
+           "around | bit_a[v]",
+           ("tests/test_partial_count.py",),
+           "an inside apex's sub-region edge mask leaves out the new edge v -> b"),
+    Mutant("triangulations.py",
+           "(inside & ~tri) ^ low",
+           "inside & ~tri",
+           ("tests/test_partial_count.py",),
+           "an inside apex stays inside its own sub-region instead of joining its boundary"),
+    Mutant("triangulations.py",
+           "_count_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v)",
+           "_count_region(t, cyc[1:j + 1] if j else cyc[1:] + (a,)",
+           ("tests/test_partial_count.py",),
+           "a count drops the inside apex from its sub-region's cycle"),
+    Mutant("triangulations.py",
+           "_enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a, v)",
+           "_enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a,)",
+           ("tests/test_triangulations.py",),
+           "a listing drops the inside apex from its sub-region's cycle"),
+    Mutant("triangulations.py",
+           "triangles = tuple(combinations(range(n), 3))",
+           "triangles = tuple(combinations(range(n), 3))[::-1]",
+           ("tests/test_triangulations.py",),
+           "the triangle table is reversed, so ranks no longer sort as their triples do "
+           "and a listing's lines change order"),
+    Mutant("triangulations.py",
            "if boundary[i - 1] < boundary[(i + 1) % len(boundary)]:",
            "if boundary[i - 1] > boundary[(i + 1) % len(boundary)]:",
            ("tests/test_partial_count.py", "tests/test_triangulations.py"),
            "the anchor is the smallest rank's edge to its larger neighbour, so the "
            "anchors, the apex order and the states change"),
     Mutant("triangulations.py",
-           "    if n > ENUMERATION_CAP:\n",
-           "    _RegionTables(ps, range(n))\n    if n > ENUMERATION_CAP:\n",
+           "        if n > ENUMERATION_CAP:\n",
+           "        _RegionTables(ps, range(n))\n        if n > ENUMERATION_CAP:\n",
            ("tests/test_triangulations.py",),
            "a listing builds its region tables before it checks the size cap"),
     Mutant("triangulations.py",

@@ -23,6 +23,7 @@ from tricensus.geom import (
 )
 from tricensus import triangulations
 from tricensus.triangulations import (
+    Listing,
     Triangulation,
     _RegionTables,
     _canonical_order,
@@ -93,12 +94,13 @@ def test_enumeration_cap_is_decided_before_any_work(ps, monkeypatch):
     def built(*args):
         raise AssertionError("a table was built before the size cap was checked")
 
-    # neither the listing's region tables nor the orientation table may be built
+    # neither the listing's region tables nor the orientation table may be built,
+    # whichever way the listing is made
     monkeypatch.setattr(triangulations, "_RegionTables", built)
     monkeypatch.setattr(PointSet, "orient_table", built)
-    for enumerate_all in (enumerate_full, enumerate_partial):
+    for make_listing in (enumerate_full, enumerate_partial, lambda ps: Listing(ps, [frozenset()])):
         with pytest.raises(SizeCapError) as refused:
-            enumerate_all(ps)
+            make_listing(ps)
         assert str(refused.value) == "enumeration refused for 15 points (cap 14)"
 
 
@@ -223,7 +225,7 @@ def _assert_parts_match_lone_listings(ps):
     for u in range(1 << m):
         gray = u ^ u >> 1
         extra = frozenset(interior[k] for k in range(m) if gray >> k & 1)
-        alone += triangulations._listing(ps, [extra]).lines()
+        alone += Listing(ps, [extra]).lines()
     assert list(enumerate_partial(ps).lines()) == alone
 
 
@@ -396,7 +398,8 @@ def _listing_work(enumerate_all, ps, monkeypatch):
     the memos of one pass over it: each region call's last two arguments, the
     memo of its interior subset and the memo all the subsets share, each
     distinct memo counted once.  A pass reads each root region's products
-    and stores no root."""
+    and stores no root; every other region with no kept point inside, an
+    empty triangle included, is stored once per pass in the shared memo."""
     memos = {}
     engine = triangulations._enumerate_region
 
@@ -416,20 +419,20 @@ def test_listing_work_is_pinned(monkeypatch):
     order: a change to how listings are built that alters the anchors, the
     apexes or the set of states fails here even when the listings agree."""
     pinned = {  # (n, seed): ((full, states), (partial, states))
-        (9, 7): ((162, 87), (570, 323)),
-        (9, 8): ((436, 152), (717, 262)),
-        (11, 7): ((3133, 477), (13303, 3909)),
-        (11, 8): ((6640, 990), (12639, 2359)),
-        (12, 7): ((15959, 1381), (74640, 13938)),
-        (12, 8): ((15541, 1637), (51863, 8063)),
+        (9, 7): ((162, 96), (570, 341)),
+        (9, 8): ((436, 170), (717, 295)),
+        (11, 7): ((3133, 512), (13303, 3970)),
+        (11, 8): ((6640, 1030), (12639, 2453)),
+        (12, 7): ((15959, 1432), (74640, 14046)),
+        (12, 8): ((15541, 1672), (51863, 8147)),
     }
     for (n, seed), want in pinned.items():
         ps = gen_random(n, 256, seed)
         got = tuple(_listing_work(e, ps, monkeypatch) for e in (enumerate_full, enumerate_partial))
         assert got == want, (n, seed)
     ps = gen_double_circle(6)
-    assert _listing_work(enumerate_full, ps, monkeypatch) == (2236, 564)
-    assert _listing_work(enumerate_partial, ps, monkeypatch) == (16796, 4559)
+    assert _listing_work(enumerate_full, ps, monkeypatch) == (2236, 616)
+    assert _listing_work(enumerate_partial, ps, monkeypatch) == (16796, 4669)
 
 
 @settings(max_examples=30, deadline=None)
