@@ -2,8 +2,7 @@
 
 Everything here is plain Python integer arithmetic, so all values are exact
 at any size.  ``catalan`` uses the closed form C(2n, n) / (n + 1), computed
-on each call; ``catalan_by_convolution`` recomputes the same numbers from
-the convolution recurrence and exists purely as an independent cross-check.
+on each call.
 """
 
 from __future__ import annotations
@@ -17,19 +16,6 @@ def catalan(n: int) -> int:
     if n < 0:
         raise ValueError("catalan is defined for n >= 0")
     return comb(2 * n, n) // (n + 1)
-
-
-def catalan_by_convolution(n: int) -> int:
-    """Same value as :func:`catalan`, computed by the convolution recurrence.
-
-    Kept deliberately independent from the closed form in :func:`catalan`.
-    """
-    if n < 0:
-        raise ValueError("catalan is defined for n >= 0")
-    c = [1]
-    for m in range(n):
-        c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
-    return c[n]
 
 
 def polygon_triangulation_count(n: int) -> int:

@@ -112,30 +112,3 @@ def classify(ps: PointSet) -> QuasiConvexReport:
             seq.append(best)
     quasi = len(found) == len(inner)
     return QuasiConvexReport(quasi, dict(sorted(found.items())), tuple(seq) if quasi else None)
-
-
-def close_via_neighbor_triangles(ps: PointSet, p: int) -> bool:
-    """Closeness test for a sole interior point via the two neighbor triangles.
-
-    For each hull side, strict containment in the triangles formed with the
-    side's two neighboring hull vertices decides closeness; must agree with
-    :func:`classify` on single-interior-point sets.
-    """
-    if tuple(ps.interior) != (p,):
-        raise ValueError("the set must have exactly this one interior point")
-    tab = ps.orient_table()
-    hull = ps.hull
-    h = len(hull)
-
-    def contains_p(a: int, b: int, c: int) -> bool:
-        s = tab[a][b][c]
-        return tab[a][b][p] == s and tab[b][c][p] == s and tab[c][a][p] == s
-
-    for j in range(h):
-        a = hull[j]
-        b = hull[(j + 1) % h]
-        succ = hull[(j + 2) % h]
-        pred = hull[(j - 1) % h]
-        if contains_p(a, b, succ) and contains_p(pred, a, b):
-            return True
-    return False

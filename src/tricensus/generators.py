@@ -135,7 +135,11 @@ def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
     Points start near the side midpoints, offset inward; the offset shrinks,
     and then the ring's scale doubles, until every closeness certificate
     holds.  Each candidate is certified on its integer view, so the points
-    are integers, and only the accepted one becomes a point set.
+    are integers, and only the accepted one becomes a point set.  The
+    certificates also fix the hull: each added point p lies left of its side
+    q -> r, and every other point lies left of q -> p and of p -> r, so p is
+    strictly inside the triangle (q, r, a) for every other ring vertex a,
+    hence inside the strictly convex ring, and the ring is the hull.
     """
     for doubling in range(8):
         ring = _convex_ring(m, scale << doubling, _FAMILY_SEED)
@@ -154,11 +158,9 @@ def _ring_with_close_points(m: int, sides, scale: int) -> PointSet:
                    for pos, j in enumerate(sides)):
                 continue
             try:
-                ps = PointSet.from_points(xy)
+                return PointSet.from_points(xy)
             except ValueError:  # not in general position
                 continue
-            if set(ps.hull) == set(range(m)):
-                return ps
     raise ConstructionError(
         f"no close points on sides {tuple(sides)} of a {m}-gon at scale {scale}")
 

@@ -78,6 +78,17 @@ MUTANTS = (
            ("tests/test_closeness.py",),
            "classify's scan from r rejects a candidate when an interior point lies right "
            "of r -> best, not left"),
+    Mutant("closeness.py",
+           "\n                and apex not in (p, q, r)):",
+           "):",
+           ("tests/test_closeness.py",),
+           "blocking_apex counts p, q and r as apexes, so every point reads blocked"),
+    Mutant("generators.py",
+           "if any(blocking_apex(xy, m + pos,",
+           "if False and any(blocking_apex(xy, m + pos,",
+           ("tests/test_generators.py",),
+           "the ring families skip their closeness certificates, so an added point "
+           "need not be close to its side"),
     Mutant("harness.py",
            '"lower_bound_failures": sum(not v.lower_bound_ok for v in checked)',
            '"lower_bound_failures": sum(not v.equality_iff_ok for v in checked)',
@@ -207,6 +218,16 @@ MUTANTS = (
            "left_p[q] * (col_p >> q & ones) | left[q][p] * (col[q] >> p & ones)",
            ("tests/test_triangulations.py",),
            "the crossing test takes d from the same side of pq as c"),
+    Mutant("triangulations.py",
+           "if _segments_cross(tab, *e1, *e2):",
+           "if False:",
+           ("tests/test_triangulations.py",),
+           "check_triangulation accepts two triangles whose edges cross"),
+    Mutant("triangulations.py",
+           "if used != sub:",
+           "if False:",
+           ("tests/test_triangulations.py",),
+           "check_triangulation accepts a vertex subset the triangles do not use"),
     Mutant("triangulations.py",
            "low = todo & -todo\n        todo ^= low\n        v = low.bit_length() - 1",
            "v = todo.bit_length() - 1\n        low = 1 << v\n        todo ^= low",

@@ -1,9 +1,12 @@
-"""Orientation predicates on rational points, kept as test references.
+"""Orientation predicates on rational points and the Catalan convolution,
+kept as test references.
 
 A point is an (x, y) pair of ints or ``Fraction`` values.  The package
 decides every sign on the exact integer view of a point set
 (:func:`tricensus.geom.integer_view`).  These predicates compute the same
 signs straight from the rational coordinates, so tests compare the two.
+:func:`catalan_by_convolution` recomputes the package's closed-form Catalan
+numbers from the convolution recurrence.
 """
 
 from __future__ import annotations
@@ -65,3 +68,14 @@ def segments_properly_cross(a, b, c, d) -> bool:
     o3 = orient(c, d, a)
     o4 = orient(c, d, b)
     return o1 * o2 < 0 and o3 * o4 < 0
+
+
+def catalan_by_convolution(n: int) -> int:
+    """The n-th Catalan number by the convolution recurrence, independent of
+    the closed form in :func:`tricensus.catalan.catalan`."""
+    if n < 0:
+        raise ValueError("catalan is defined for n >= 0")
+    c = [1]
+    for m in range(n):
+        c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
+    return c[n]

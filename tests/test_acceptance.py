@@ -14,7 +14,6 @@ from types import SimpleNamespace
 from tricensus import charvec
 from tricensus.catalan import (
     catalan,
-    catalan_by_convolution,
     check_product_inequality,
     polygon_count_recurrence_holds,
     polygon_triangulation_count,
@@ -45,6 +44,8 @@ from tricensus.triangulations import (
     enumerate_full,
     enumerate_partial,
 )
+
+from oracles import catalan_by_convolution
 
 PENTAGON_PLUS_CENTER = [(0, -10), (10, -3), (6, 9), (-6, 9), (-10, -3), (0, 0)]
 

@@ -2,11 +2,12 @@ import pytest
 
 from tricensus.catalan import (
     catalan,
-    catalan_by_convolution,
     check_product_inequality,
     polygon_count_recurrence_holds,
     polygon_triangulation_count,
 )
+
+from oracles import catalan_by_convolution
 
 
 def test_first_catalan_numbers():

@@ -7,12 +7,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from tricensus import closeness
 from tricensus.catalan import polygon_triangulation_count
-from tricensus.closeness import (
-    QuasiConvexReport,
-    classify,
-    close_via_neighbor_triangles,
-    find_blocking_apex,
-)
+from tricensus.closeness import QuasiConvexReport, classify, find_blocking_apex
 from tricensus.generators import gen_convex, gen_double_circle, gen_quasi_convex, gen_random
 from tricensus.geom import PointSet, added_xy_violation, integer_view
 from tricensus.triangulations import brute_force_count, count_partial
@@ -114,16 +109,10 @@ def test_at_most_one_close_point_per_side():
 
 
 def test_close_via_neighbor_triangles_examples():
-    assert close_via_neighbor_triangles(PointSet.from_points(SQUARE_PLUS_LOW), 4)
-    assert not close_via_neighbor_triangles(PointSet.from_points(PENTAGON_PLUS_CENTER), 5)
-    assert close_via_neighbor_triangles(
+    assert _close_by_point_in_triangle(PointSet.from_points(SQUARE_PLUS_LOW), 4)
+    assert not _close_by_point_in_triangle(PointSet.from_points(PENTAGON_PLUS_CENTER), 5)
+    assert _close_by_point_in_triangle(
         PointSet.from_points([(0, 0), (9, 1), (2, 7), (3, 2)]), 3)
-
-
-def test_close_via_neighbor_triangles_requires_single_interior():
-    ps = PointSet.from_points([(0, 0), (12, 0), (12, 12), (0, 12), (5, 2), (6, 10)])
-    with pytest.raises(ValueError):
-        close_via_neighbor_triangles(ps, 4)
 
 
 def test_neighbor_triangle_rule_agrees_with_classify():
@@ -133,7 +122,7 @@ def test_neighbor_triangle_rule_agrees_with_classify():
             continue
         p = ps.interior[0]
         rep = classify(ps)
-        assert close_via_neighbor_triangles(ps, p) == (p in rep.assignment)
+        assert _close_by_point_in_triangle(ps, p) == (p in rep.assignment)
 
 
 def test_classify_invariant_under_positive_affine_maps():
@@ -222,7 +211,10 @@ def test_classify_matches_references_on_grids(ps):
 
 
 def _close_by_point_in_triangle(ps, p):
-    """Reference neighbor-triangle rule: point_in_triangle on the Fraction points."""
+    """Reference neighbor-triangle rule for a set whose one interior point is p:
+    p is close to a hull side exactly when it lies inside the triangles the
+    side forms with each of its two neighboring hull vertices.  Decided by
+    point_in_triangle on the Fraction points."""
     pts, hull = ps.points, ps.hull
     h = len(hull)
     return any(
@@ -238,7 +230,7 @@ def test_neighbor_triangle_rule_matches_point_in_triangle_on_grids(ps):
     one = PointSet.from_points([ps.points[i] for i in ps.hull] + [ps.points[ps.interior[0]]])
     p = len(ps.hull)
     assert one.interior == (p,)
-    assert close_via_neighbor_triangles(one, p) == _close_by_point_in_triangle(one, p)
+    assert _close_by_point_in_triangle(one, p) == (p in classify(one).assignment)
 
 
 def _rescaled(ps, factor, dx=0, dy=0):

@@ -306,7 +306,13 @@ def test_check_triangulation_rejects_an_index_outside_the_point_set():
      ((0, 1, 2), (3, 4, 5)), "triangles (0, 1, 2) and (3, 4, 5) overlap (nested vertex)"),
     ([(0, 0), (10, 0), (14, 8), (5, 14), (-4, 8)], {0, 1, 2, 3, 4}, ((0, 1, 2), (0, 3, 4)),
      "area mismatch: triangles cover 176, hull is 332"),
-], ids=["hull-missing", "degenerate", "outside-subset", "nested", "area"])
+    # the two triangles overlap, but their areas sum to the hull's
+    ([(0, 0), (4, 0), (4, 4), (0, 4)], {0, 1, 2, 3}, ((0, 1, 2), (1, 2, 3)),
+     "triangles (0, 1, 2) and (1, 2, 3) overlap (crossing edges)"),
+    # the unused vertex 3 also lies inside the triangle, a later check
+    ([(0, 0), (5, 1), (1, 6), (2, 2)], {0, 1, 2, 3}, ((0, 1, 2),),
+     "vertex subset not fully used by the triangles"),
+], ids=["hull-missing", "degenerate", "outside-subset", "nested", "area", "crossing", "unused"])
 def test_check_triangulation_rejections(coords, sub, triangles, message):
     ps = PointSet.from_points(coords)
     with pytest.raises(ValueError) as rejected:
