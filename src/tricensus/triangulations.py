@@ -71,6 +71,14 @@ running prefixes along the cycle, and hands them down.  The recursion looks
 a sub-region up before it slices the sub-region's cycle, so a memo hit
 builds no tuple and needs no anchor rotation.
 
+The anchor splits follow one rule, written twice.  ``_region_splits`` walks
+them for the listing and yields each split's masks.  ``_count_region`` walks
+them itself and looks up or counts each split's sub-regions as soon as it
+finds the split: that walk is most of the work of a count, and resuming a
+generator and unpacking a split tuple at every split cost a measurable share
+of it.  A test checks that a count over ``_region_splits`` stores the same
+memo, state for state, as ``_count_region``.
+
 The recursion reads integers only.  Built for each count or listing, in its
 order, and dropped when it returns, from the integer coordinates ``ps.xy``
 with one cross product per point triple:
@@ -264,7 +272,10 @@ def _anchor_rotation(boundary: tuple[int, ...]) -> tuple[int, ...]:
 def _region_splits(t: _RegionTables, cyc: tuple[int, ...], inside: int, edges: int,
                    blockers: int):
     """Yield (apex, j, inside1, edges1, inside2, edges2) for every valid anchor
-    triangle of the region.
+    triangle of the region: the listing's split walk.  ``_count_region``
+    walks the same splits inline; ``tests/test_count_splits.py`` checks the
+    two against each other through ``count_by_splits`` in
+    ``tests/oracles.py``, a count over this walk.
 
     The anchor edge is (cyc[0], cyc[1]), ``inside`` is the mask of the points
     strictly inside the cycle and ``edges`` is the cycle's edge mask.  An
@@ -329,29 +340,77 @@ def _count_region(t: _RegionTables, boundary: tuple[int, ...], inside: int, edge
     blockers are the points not inside the region, so inside points may be
     skipped.
 
+    The count walks its own anchor splits: the rule, the apex order and the
+    masks are those of ``_region_splits``, but each split's sub-regions are
+    looked up or counted as soon as the split is found, with no generator
+    and no split tuple in between.  That walk is most of the work of a
+    count, so the copy is kept on purpose; ``tests/test_count_splits.py``
+    checks that it stores the same memo as ``count_by_splits``, a count over
+    ``_region_splits``.
+
     A sub-region that is a bare edge or an empty triangle counts 1 and is
     never looked up, recursed into or stored as a state.  A top-level empty
     triangle counts 1 through its one split, whose two sides are bare, and
     is stored as the count's one state.
     """
     cyc = _anchor_rotation(boundary)
-    a = cyc[0]
+    left, ray, cross, edge_bit = t.left, t.ray, t.cross, t.edge_bit
+    a, b = cyc[0], cyc[1]
+    left_ab, left_b, cross_a, cross_b, bit_a = left[a][b], left[b], cross[a], cross[b], edge_bit[a]
+    ray_b = ray[b]
+    blockers = t.full if required else t.full ^ inside
     k = len(cyc)
     total = 0
-    blockers = t.full if required else t.full ^ inside
-    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, blockers):
-        # a boundary apex leaves sub-cycles of j and k - j + 1 vertices
-        c1 = c2 = 1
-        if not j or inside1 or j > 3:
+    # pre and par as in _region_splits: the edges of the cycle from a up to the
+    # apex v = cyc[j], and the ray parity of the path cyc[1..j]
+    bit_ab = bit_a[b]
+    pre = bit_ab
+    par = 0
+    u = b
+    for j in range(2, k):
+        v = cyc[j]
+        pre |= edge_bit[u][v]
+        par ^= ray[u][v]
+        u = v
+        if not left_ab >> v & 1:
+            continue
+        tri = left_ab & left_b[v] & left[v][a]
+        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:
+            continue
+        # sub-region 1 on cyc[1:j + 1] has j vertices, sub-region 2 on
+        # cyc[j:] + (a,) has k - j + 1
+        rest = inside & ~tri
+        inside1 = rest & (par ^ ray_b[v])
+        c1 = 1
+        if inside1 or j > 3:
+            edges1 = pre ^ bit_ab | edge_bit[v][b]
             c1 = memo.get(edges1)
             if c1 is None:
-                c1 = _count_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v), inside1, edges1,
-                                   required, memo)
-        if j and (inside2 or j < k - 2):
+                c1 = _count_region(t, cyc[1:j + 1], inside1, edges1, required, memo)
+        inside2 = rest ^ inside1
+        if inside2 or j < k - 2:
+            edges2 = edges ^ pre | bit_a[v]
             c2 = memo.get(edges2)
             if c2 is None:
                 c2 = _count_region(t, cyc[j:] + (a,), inside2, edges2, required, memo)
-        total += c1 * c2
+            c1 *= c2
+        total += c1
+    # an inside apex v: one sub-region, on cyc[1:] + (a, v)
+    around = edges ^ bit_ab
+    todo = inside & left_ab
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        v = low.bit_length() - 1
+        tri = left_ab & left_b[v] & left[v][a]
+        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:
+            continue
+        edges1 = around | bit_a[v] | edge_bit[v][b]
+        c1 = memo.get(edges1)
+        if c1 is None:
+            c1 = _count_region(t, cyc[1:] + (a, v), (inside & ~tri) ^ low, edges1, required,
+                               memo)
+        total += c1
     memo[edges] = total
     return total
 

@@ -166,26 +166,134 @@ MUTANTS = (
            "sub-region 1's edge mask leaves out the closing edge v -> b, so its memo key "
            "names another cycle"),
     Mutant("triangulations.py",
-           "edges ^ pre | bit_a[v]",
-           "edges ^ pre",
-           ("tests/test_partial_count.py",),
-           "sub-region 2's edge mask leaves out the closing edge a -> v, so its memo key "
-           "and crossing tests name another cycle"),
+           "rest ^ rest1, edges ^ pre | bit_a[v]",
+           "rest ^ rest1, edges ^ pre",
+           ("tests/test_count_splits.py",),
+           "the split walk's sub-region 2 edge mask leaves out the closing edge a -> v, so "
+           "its memo key and crossing tests name another cycle"),
     Mutant("triangulations.py",
-           "around | bit_a[v] | edge_bit[v][b]",
-           "around | bit_a[v]",
+           "edges2 = edges ^ pre | bit_a[v]",
+           "edges2 = edges ^ pre",
            ("tests/test_partial_count.py",),
-           "an inside apex's sub-region edge mask leaves out the new edge v -> b"),
+           "the count's sub-region 2 edge mask leaves out the closing edge a -> v, so its "
+           "memo key and crossing tests name another cycle"),
     Mutant("triangulations.py",
-           "(inside & ~tri) ^ low",
-           "inside & ~tri",
+           "low, around | bit_a[v] | edge_bit[v][b], 0, 0",
+           "low, around | bit_a[v], 0, 0",
+           ("tests/test_count_splits.py",),
+           "the split walk's inside-apex sub-region edge mask leaves out the new edge v -> b"),
+    Mutant("triangulations.py",
+           "edges1 = around | bit_a[v] | edge_bit[v][b]",
+           "edges1 = around | bit_a[v]",
            ("tests/test_partial_count.py",),
-           "an inside apex stays inside its own sub-region instead of joining its boundary"),
+           "the count's inside-apex sub-region edge mask leaves out the new edge v -> b"),
     Mutant("triangulations.py",
-           "_count_region(t, cyc[1:j + 1] if j else cyc[1:] + (a, v)",
-           "_count_region(t, cyc[1:j + 1] if j else cyc[1:] + (a,)",
+           "yield v, 0, (inside & ~tri) ^ low,",
+           "yield v, 0, inside & ~tri,",
+           ("tests/test_count_splits.py",),
+           "the split walk leaves an inside apex inside its own sub-region instead of "
+           "joining it to the boundary"),
+    Mutant("triangulations.py",
+           "(a, v), (inside & ~tri) ^ low,",
+           "(a, v), inside & ~tri,",
+           ("tests/test_partial_count.py",),
+           "the count leaves an inside apex inside its own sub-region instead of joining it "
+           "to the boundary"),
+    Mutant("triangulations.py",
+           "_count_region(t, cyc[1:] + (a, v)",
+           "_count_region(t, cyc[1:] + (a,)",
            ("tests/test_partial_count.py",),
            "a count drops the inside apex from its sub-region's cycle"),
+    Mutant("triangulations.py",
+           "        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:\n"
+           "            continue\n"
+           "        # sub-region 1",
+           "        if (cross_a[v] | cross_b[v]) & edges:\n"
+           "            continue\n"
+           "        # sub-region 1",
+           ("tests/test_partial_count.py",),
+           "the count's boundary apexes skip the blocker test, so an anchor triangle may "
+           "hold a boundary vertex or a required point"),
+    Mutant("triangulations.py",
+           "        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:\n"
+           "            continue\n"
+           "        edges1 = ",
+           "        if (cross_a[v] | cross_b[v]) & edges:\n"
+           "            continue\n"
+           "        edges1 = ",
+           ("tests/test_partial_count.py",),
+           "the count's inside apexes skip the blocker test, so an anchor triangle may "
+           "hold a boundary vertex or a required point"),
+    Mutant("triangulations.py",
+           "        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:\n"
+           "            continue\n"
+           "        # sub-region 1",
+           "        if tri & blockers or cross_a[v] & edges:\n"
+           "            continue\n"
+           "        # sub-region 1",
+           ("tests/test_partial_count.py",),
+           "the count's boundary apexes skip the crossing test of side bv, so a triangle "
+           "may reach outside the region past an edge at a"),
+    Mutant("triangulations.py",
+           "        if tri & blockers or (cross_a[v] | cross_b[v]) & edges:\n"
+           "            continue\n"
+           "        edges1 = ",
+           "        if tri & blockers:\n"
+           "            continue\n"
+           "        edges1 = ",
+           ("tests/test_partial_count.py",),
+           "the count's inside apexes skip the crossing tests, so a triangle may reach "
+           "outside the region past an edge at a or at b"),
+    Mutant("triangulations.py",
+           "    pre = bit_ab\n",
+           "    pre = 0\n",
+           ("tests/test_count_splits.py",),
+           "the count's edge prefix leaves out the anchor edge, so sub-region 2's edge mask "
+           "keeps it"),
+    Mutant("triangulations.py",
+           "    for j in range(2, k):\n"
+           "        v = cyc[j]\n"
+           "        pre |= edge_bit[u][v]\n",
+           "    for j in range(2, k):\n"
+           "        v = cyc[j]\n"
+           "        pre |= edge_bit[v][u]\n",
+           ("tests/test_count_splits.py",),
+           "the count's edge prefix takes each cycle edge reversed, so both sub-region edge "
+           "masks name other cycles"),
+    Mutant("triangulations.py",
+           "    for j in range(2, k):\n"
+           "        v = cyc[j]\n"
+           "        pre |= edge_bit[u][v]\n"
+           "        par ^= ray[u][v]\n",
+           "    for j in range(2, k):\n"
+           "        v = cyc[j]\n"
+           "        pre |= edge_bit[u][v]\n"
+           "        par |= ray[u][v]\n",
+           ("tests/test_partial_count.py",),
+           "the count's ray prefix ORs instead of taking parity, so a point whose ray "
+           "crosses the path twice lands in sub-region 1"),
+    Mutant("triangulations.py",
+           "inside1 = rest & (par ^ ray_b[v])",
+           "inside1 = rest & par",
+           ("tests/test_partial_count.py",),
+           "the count's sub-region 1 inside mask leaves out the closing edge v -> b"),
+    Mutant("triangulations.py",
+           "edges1 = pre ^ bit_ab | edge_bit[v][b]",
+           "edges1 = pre ^ bit_ab",
+           ("tests/test_partial_count.py",),
+           "the count's sub-region 1 edge mask leaves out the closing edge v -> b, so its "
+           "memo key names another cycle"),
+    Mutant("triangulations.py",
+           "inside2 = rest ^ inside1",
+           "inside2 = inside ^ inside1",
+           ("tests/test_partial_count.py",),
+           "the count's sub-region 2 keeps the inside points its anchor triangle covers"),
+    Mutant("triangulations.py",
+           "if inside2 or j < k - 2:",
+           "if j < k - 2:",
+           ("tests/test_partial_count.py",),
+           "the count takes a triangle sub-region 2 with points inside for empty and counts "
+           "it 1"),
     Mutant("triangulations.py",
            "_enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a, v)",
            "_enumerate_region(t, triangle, cyc[1:j + 1] if j else cyc[1:] + (a,)",
@@ -229,10 +337,13 @@ MUTANTS = (
            ("tests/test_triangulations.py",),
            "check_triangulation accepts a vertex subset the triangles do not use"),
     Mutant("triangulations.py",
-           "low = todo & -todo\n        todo ^= low\n        v = low.bit_length() - 1",
-           "v = todo.bit_length() - 1\n        low = 1 << v\n        todo ^= low",
+           "    around = edges ^ bit_a[b]\n    todo = inside & left_ab\n    while todo:\n"
+           "        low = todo & -todo\n        todo ^= low\n        v = low.bit_length() - 1",
+           "    around = edges ^ bit_a[b]\n    todo = inside & left_ab\n    while todo:\n"
+           "        v = todo.bit_length() - 1\n        low = 1 << v\n        todo ^= low",
            ("tests/test_partial_count.py",),
-           "a region's inside apexes come in descending rank, so the split order changes"),
+           "the split walk yields a region's inside apexes in descending rank, so the "
+           "split order changes"),
     Mutant("geom.py",
            "distinct = len(set(xy)) == len(xy)",
            "distinct = True",

@@ -1,15 +1,19 @@
-"""Orientation predicates on rational points and the Catalan convolution,
-kept as test references.
+"""Orientation predicates on rational points, the Catalan convolution and
+the region count over ``_region_splits``, kept as test references.
 
 A point is an (x, y) pair of ints or ``Fraction`` values.  The package
 decides every sign on the exact integer view of a point set
 (:func:`tricensus.geom.integer_view`).  These predicates compute the same
 signs straight from the rational coordinates, so tests compare the two.
 :func:`catalan_by_convolution` recomputes the package's closed-form Catalan
-numbers from the convolution recurrence.
+numbers from the convolution recurrence.  :func:`count_by_splits` is the
+region count written over the listing's split walk, which the package's
+``_count_region`` copies inline, so tests compare the memos of the two.
 """
 
 from __future__ import annotations
+
+from tricensus.triangulations import _anchor_rotation, _region_splits
 
 # point_in_triangle classifications
 INSIDE = "inside"
@@ -79,3 +83,29 @@ def catalan_by_convolution(n: int) -> int:
     for m in range(n):
         c.append(sum(c[i] * c[m - i] for i in range(m + 1)))
     return c[n]
+
+
+def count_by_splits(t, boundary, inside, edges, required, memo) -> int:
+    """``_count_region`` with its split walk left to ``_region_splits``: the
+    same arguments, the same count and the same memo, filled by its own
+    recursion."""
+    cyc = _anchor_rotation(boundary)
+    a = cyc[0]
+    k = len(cyc)
+    total = 0
+    blockers = t.full if required else t.full ^ inside
+    for v, j, inside1, edges1, inside2, edges2 in _region_splits(t, cyc, inside, edges, blockers):
+        # a boundary apex leaves sub-cycles of j and k - j + 1 vertices
+        c1 = c2 = 1
+        if not j or inside1 or j > 3:
+            c1 = memo.get(edges1)
+            if c1 is None:
+                c1 = count_by_splits(t, cyc[1:j + 1] if j else cyc[1:] + (a, v), inside1, edges1,
+                                     required, memo)
+        if j and (inside2 or j < k - 2):
+            c2 = memo.get(edges2)
+            if c2 is None:
+                c2 = count_by_splits(t, cyc[j:] + (a,), inside2, edges2, required, memo)
+        total += c1 * c2
+    memo[edges] = total
+    return total
